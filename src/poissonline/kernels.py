@@ -16,13 +16,18 @@ subordination ingredient and as an independent cross-check target, and
 `halfplane_poisson_kernel` is the classical Cauchy kernel that all the
 oscillator kernels approach as a -> 0.
 
-Everything is evaluated in the log domain so that extreme arguments
-degrade gracefully to 0.0 or inf instead of producing NaN.
+Every kernel is evaluated in the log domain wherever a direct product
+could overflow or underflow, so that extreme arguments degrade gracefully
+to 0.0 or inf instead of producing NaN.  `dirac_kernel` uses its direct
+form where the prefactor is a normal float and the exponent is moderate:
+that form is exactly covariant under dyadic rescaling, the summed
+log-domain exponent is not.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +49,8 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
+_TWO_SQRT_PI = 2.0 * _SQRT_PI
+_MIN_NORMAL = sys.float_info.min
 
 
 class DegenerateCharacteristicError(ValueError):
@@ -126,11 +133,23 @@ def dirac_kernel(p: EvaluationPoint) -> KernelValue:
     Off the support the value is 0.  The kernel has unit mass in the
     source variable for every y, and obeys the exact scaling
     P(c y, X, X + c^2 s) = c^{-2} P(y, X, X + s).
+
+    Where y^2 / (4s) < 700 and the prefactor is a normal float the value
+    is the product of the prefactor, built from correctly rounded
+    operations only, and exp(-y^2 / (4s)); a dyadic c then scales every
+    intermediate exactly, so the scaling holds to the last bit.  Elsewhere
+    the log-domain form is used.
     """
     s = p.source - p.target
     if s <= 0.0:
         return KernelValue(0.0, 0.0)
-    return KernelValue(_exp(float(_log_stable_half_density(p.y, s))), 0.0)
+    y = p.y
+    q = y * y / (4.0 * s)
+    if q < 700.0:
+        prefactor = y / (_TWO_SQRT_PI * s * math.sqrt(s))
+        if _MIN_NORMAL <= prefactor < math.inf:
+            return KernelValue(prefactor * math.exp(-q), 0.0)
+    return KernelValue(_exp(float(_log_stable_half_density(y, s))), 0.0)
 
 
 def euler_kernel(p: EvaluationPoint, a: OscillatorParam) -> KernelValue:

@@ -25,6 +25,7 @@ from .kernels import (
     mehler_heat_kernel,
     oscillator_poisson_kernel,
 )
+from .numerics import hermite_all, hermite_function
 from .quadrature import QuadratureConfig
 
 __all__ = [
@@ -52,8 +53,6 @@ __all__ = [
 # Uniform sup bound for the unit-frequency eigenfunctions; the frequency-a
 # family is bounded by _PHI_SUP * a**0.25.
 _PHI_SUP = 0.816
-
-_QUARTER_LOG_PI = 0.25 * math.log(math.pi)
 
 
 class InsufficientOrderError(ValueError):
@@ -121,51 +120,6 @@ def make_report(check_name: str, measured: float, tolerance: float,
 
 # ---------------------------------------------------------------------------
 # Eigenfunctions and spectral sums
-
-
-def _hermite_all(n_max: int, a: float, x):
-    """Orthonormal oscillator eigenfunctions phi_0..phi_n_max at x.
-
-    Uses the normalized three-term recurrence with the Gaussian weight
-    folded in (in z = sqrt(a) x):
-
-        psi_0 = pi^{-1/4} exp(-z^2/2)
-        psi_{k+1} = sqrt(2/(k+1)) z psi_k - sqrt(k/(k+1)) psi_{k-1}
-
-    so no raw polynomial value is ever formed; all iterates stay bounded
-    by ~0.8 and the recurrence is safe far beyond n = 500.  The returned
-    array has shape (n_max + 1,) + shape(x) and carries the a**0.25
-    rescaling of phi_n(x) = a^{1/4} psi_n(sqrt(a) x).
-    """
-    z = math.sqrt(a) * np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + z.shape)
-    with np.errstate(under="ignore"):
-        psi_prev = np.exp(-0.5 * z * z - _QUARTER_LOG_PI)
-        out[0] = psi_prev
-        if n_max >= 1:
-            psi = math.sqrt(2.0) * z * psi_prev
-            out[1] = psi
-            for k in range(1, n_max):
-                psi, psi_prev = (math.sqrt(2.0 / (k + 1)) * z * psi
-                                 - math.sqrt(k / (k + 1.0)) * psi_prev), psi
-                out[k + 1] = psi
-    return a ** 0.25 * out
-
-
-def hermite_function(n: int, a: float, x):
-    """L2-normalized eigenfunction phi_n of -d^2/dx^2 + a^2 x^2.
-
-    phi_n has eigenvalue (2n + 1) a and unit L2 norm; phi_0(0) = (a/pi)^{1/4}.
-    Accepts scalar or array x and returns a matching float or array.
-    """
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be a positive finite real, got {a!r}")
-    values = _hermite_all(n, float(a), x)[n]
-    if np.ndim(x) == 0:
-        return float(values)
-    return values
 
 
 def heat_tail_bound(t: float, sc: SpectralConfig) -> float:
@@ -310,8 +264,8 @@ def spectral_poisson_kernel(y: float, x: float, xp: float, sc: SpectralConfig,
             f"poisson tail bound {bound:.3e} exceeds tol={tol:.3e} at "
             f"n_max={sc.n_max}; n_max={needed} would certify it"
         )
-    phi_x = _hermite_all(sc.n_max, sc.a, x)
-    phi_xp = phi_x if xp == x else _hermite_all(sc.n_max, sc.a, xp)
+    phi_x = hermite_all(sc.n_max, sc.a, x)
+    phi_xp = phi_x if xp == x else hermite_all(sc.n_max, sc.a, xp)
     n = np.arange(sc.n_max + 1)
     with np.errstate(under="ignore"):
         weights = np.exp(-y * np.sqrt((2 * n + 1) * sc.a))

@@ -6,8 +6,10 @@ to a single semi-infinite integral in the gap variable and reuse the
 adaptive log-axis quadrature directly; the scaling problem is first moved
 to the logarithmic coordinate X = log|xi| / (-2a), where its kernel is
 exactly the transport kernel and the integration measure is uniform.  The
-oscillator problem integrates the subordination kernel against the data
-with Gauss-Legendre panels graded around the kernel peak.
+oscillator problem is solved datum-first: the Mehler heat flow of the
+datum, a Gauss-Legendre sum over panels graded around x' = x, is
+subordinated by one semi-infinite u-quadrature per panel rung, rather than
+integrating a separately subordinated kernel at every x' node.
 
 Data presets carry their own support and integrability information; the
 solvers reject combinations whose integral does not converge instead of
@@ -17,21 +19,24 @@ returning garbage (InvalidDataError).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .kernels import (
     DegenerateCharacteristicError,
-    EvaluationPoint,
-    OscillatorParam,
     _log_stable_half_density,
-    oscillator_poisson_kernel,
+    _mehler_log,
 )
-from .oracles import hermite_function
+from .numerics import (
+    NODES_PER_PANEL,
+    graded_breakpoints,
+    hermite_function,
+    leggauss,
+    not_a_knot_spline,
+    split_panels,
+)
 from .quadrature import QuadratureConfig, integrate_semi_infinite
 
 __all__ = [
@@ -192,7 +197,7 @@ class InitialData:
             raise ValueError("sampled data must be finite")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("sampled grid must increase strictly")
-        spline = CubicSpline(grid, values, extrapolate=False)
+        spline = not_a_knot_spline(grid, values)
         lo, hi = float(grid[0]), float(grid[-1])
 
         def fn(x, a=None):
@@ -323,63 +328,84 @@ def solve_euler(data: InitialData, y: float, target: float, a: float,
     return SolveResult(res.value, res.error_estimate, res.converged)
 
 
-@lru_cache(maxsize=None)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _graded_breakpoints(lo: float, hi: float, center: float,
-                        scale: float) -> np.ndarray:
-    """Panel boundaries clustered geometrically around `center`.
-
-    Panels roughly double in width away from the center so that a kernel
-    feature of width ~scale near the center is resolved with O(log) panels
-    regardless of how small the scale is.
-    """
-    if scale <= 0 or not math.isfinite(scale):
-        scale = (hi - lo) / 8.0
-    pts = {lo, hi}
-    if lo < center < hi:
-        pts.add(center)
-    d = scale
-    span = hi - lo
-    while True:
-        left, right = center - d, center + d
-        if lo < left < hi:
-            pts.add(left)
-        if lo < right < hi:
-            pts.add(right)
-        if left <= lo and right >= hi:
-            break
-        d *= 2.0
-        if d > 8.0 * (span + abs(center - lo) + abs(center - hi) + scale):
-            break
-    return np.array(sorted(pts))
-
-
-def _split_panels(breakpoints: np.ndarray, parts: int) -> np.ndarray:
-    if parts == 1:
-        return breakpoints
-    out = []
-    for p0, p1 in zip(breakpoints[:-1], breakpoints[1:]):
-        step = (p1 - p0) / parts
-        out.extend(p0 + i * step for i in range(parts))
-    out.append(breakpoints[-1])
-    return np.array(out)
-
-_NODES_PER_PANEL = 16
 _MAX_PANEL_DOUBLINGS = 6
+# (u, x') samples evaluated at once by a heat-flow integrand: bounds the
+# temporaries when deep panel rungs carry tens of thousands of x' nodes
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _heat_flow_integrand(y: float, target: float, a: float, xs: np.ndarray,
+                         sign_wd, log_wd: np.ndarray):
+    """u -> (sign, log) of P_y(u) * sum_j wd_j K(u, target, xs_j).
+
+    P_y(u) = (y / (2 sqrt(pi))) u^{-3/2} exp(-y^2 / (4u)) is the
+    subordination density and K the oscillator heat kernel; the weighted
+    sum over the x' nodes is a signed log-sum-exp, one row of the
+    (u x x') block per abscissa.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // xs.size)
+
+    def integrand(u):
+        top = np.empty(u.shape)
+        total = np.empty(u.shape)
+        for i in range(0, u.size, rows):
+            terms = _mehler_log(u[i:i + rows, None], target, xs, a)
+            terms += log_wd
+            peak = terms.max(axis=1)
+            terms -= peak[:, None]
+            with np.errstate(under="ignore"):
+                np.exp(terms, out=terms)
+            top[i:i + rows] = peak
+            total[i:i + rows] = terms @ sign_wd
+        with np.errstate(divide="ignore"):
+            logmag = top + np.log(np.abs(total))
+        return np.sign(total), logmag + _log_stable_half_density(y, u)
+
+    return integrand
+
+
+def _subordinate(y: float, target: float, a: float, xs: np.ndarray,
+                 wd: np.ndarray, cfg: QuadratureConfig):
+    """(value, error, converged) of integral P_y(u) sum_j wd_j K(u, target, xs_j) du.
+
+    The signed sum may cancel to nothing (an odd datum at its centre), so
+    the u-quadrature converges against rel_tol times the magnitude
+    integral M = integral P_y(u) sum_j |wd_j| K du rather than against
+    rel_tol times |value|: the signed integrand is divided by M and
+    integrated with abs_tol = rel_tol.  M only sets that scale; the value
+    is exact in it.
+    """
+    if xs.size == 0:
+        return 0.0, 0.0, True
+    sign_wd, log_wd = _signed_log(wd)
+    mag = integrate_semi_infinite(
+        _heat_flow_integrand(y, target, a, xs, np.ones_like(wd), log_wd), cfg)
+    scale = mag.value
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale, mag.error_estimate, mag.converged
+    res = integrate_semi_infinite(
+        _heat_flow_integrand(y, target, a, xs, sign_wd, log_wd - math.log(scale)),
+        replace(cfg, abs_tol=cfg.rel_tol))
+    return (scale * res.value, scale * res.error_estimate,
+            res.converged and mag.converged)
 
 
 def solve_oscillator(data: InitialData, y: float, target: float, a: float,
                      cfg: QuadratureConfig | None = None) -> SolveResult:
     """Oscillator-problem solution w(y, x) = integral P(y, x, x') data(x') dx'.
 
-    The kernel value at each x' node is produced by the subordination
-    quadrature (kernel-first ordering); the x' integral uses 16-node
-    Gauss-Legendre panels graded around the kernel peak at x' = x, with
-    every panel split in two until the ladder difference falls below the
-    tolerance plus the accumulated kernel error.
+    Datum-first ordering: by Fubini,
+
+        w(y, x) = (y / (2 sqrt(pi))) integral_0^inf u^{-3/2} exp(-y^2 / (4u))
+                  [integral K(u, x, x') data(x') dx'] du,
+
+    so the heat flow is applied to the datum first and subordinated once.
+    The inner x' integral is a fixed 16-node Gauss-Legendre rule on panels
+    graded around x' = x; for each panel rung the whole weighted sum is
+    the integrand of one semi-infinite u-quadrature.  Every panel is split
+    in two per rung until the ladder difference falls below the tolerance
+    plus the u-quadrature error, and the error estimate is the sum of the
+    two.
     """
     _check_data("oscillator", data)
     y = _positive(y, "y")
@@ -394,40 +420,28 @@ def solve_oscillator(data: InitialData, y: float, target: float, a: float,
             "oscillator panel quadrature"
         )
     lo, hi = support
-    base = _graded_breakpoints(lo, hi, target, 0.5 * y)
-    nodes, weights = _leggauss(_NODES_PER_PANEL)
-    param = OscillatorParam(a)
+    base = graded_breakpoints(lo, hi, target, 0.5 * y)
+    nodes, weights = leggauss(NODES_PER_PANEL)
 
     previous = None
-    value = 0.0
-    kernel_err = 0.0
-    all_converged = True
+    value = quad_err = 0.0
+    converged = True
     ladder_diff = math.inf
     for rung in range(_MAX_PANEL_DOUBLINGS + 1):
-        bps = _split_panels(base, 2 ** rung)
-        value = 0.0
-        kernel_err = 0.0
-        all_converged = True
-        for p0, p1 in zip(bps[:-1], bps[1:]):
-            mid = 0.5 * (p0 + p1)
-            half = 0.5 * (p1 - p0)
-            xs = mid + half * nodes
-            ds = np.asarray(data(xs, a=a), dtype=float)
-            for xnode, wnode, dnode in zip(xs.tolist(), weights.tolist(),
-                                           ds.tolist()):
-                if dnode == 0.0:
-                    continue
-                kv = oscillator_poisson_kernel(
-                    EvaluationPoint(y, target, xnode), param, cfg)
-                value += wnode * half * dnode * kv.value
-                kernel_err += abs(wnode * half * dnode) * kv.error_estimate
-                all_converged = all_converged and kv.converged
+        bps = split_panels(base, 2 ** rung)
+        mid = 0.5 * (bps[1:] + bps[:-1])[:, None]
+        half = 0.5 * (bps[1:] - bps[:-1])[:, None]
+        xs = (mid + half * nodes).ravel()
+        wd = (half * weights).ravel() * np.asarray(data(xs, a=a), dtype=float)
+        keep = wd != 0.0
+        value, quad_err, converged = _subordinate(y, target, a, xs[keep],
+                                                  wd[keep], cfg)
         if previous is not None:
             ladder_diff = abs(value - previous)
-            if ladder_diff <= max(cfg.abs_tol, cfg.rel_tol * abs(value)) + kernel_err:
-                return SolveResult(value, ladder_diff + kernel_err, all_converged)
+            if ladder_diff <= max(cfg.abs_tol, cfg.rel_tol * abs(value)) + quad_err:
+                return SolveResult(value, ladder_diff + quad_err, converged)
         previous = value
-    return SolveResult(value, ladder_diff + kernel_err, False)
+    return SolveResult(value, ladder_diff + quad_err, False)
 
 
 @dataclass(frozen=True)
@@ -463,17 +477,25 @@ class SolveRequest:
 
 @dataclass(eq=False)
 class SolutionGrid:
-    """Solver values over a grid, with per-cell error and convergence flags."""
+    """Solver values over a grid, with per-cell error and convergence flags.
+
+    `failures` holds, per cell, why its evaluation raised
+    ("ExceptionType: message"), or "" for a cell that returned a result;
+    it defaults to all "".
+    """
 
     y_levels: tuple
     spatial_points: tuple
     values: np.ndarray
     error_estimates: np.ndarray
     converged: np.ndarray
+    failures: np.ndarray | None = None
 
     def __post_init__(self):
         shape = (len(self.y_levels), len(self.spatial_points))
-        for name in ("values", "error_estimates", "converged"):
+        if self.failures is None:
+            self.failures = np.full(shape, "", dtype=object)
+        for name in ("values", "error_estimates", "converged", "failures"):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
 
@@ -482,13 +504,15 @@ def solve_grid(req: SolveRequest) -> SolutionGrid:
     """Run the requested solver over its grid, aggregating per-cell failures.
 
     A cell whose evaluation raises a numerical error is recorded as
-    (nan, inf, False) instead of aborting the remaining cells; request
-    level inconsistencies are rejected by SolveRequest itself.
+    (nan, inf, False), with the exception in `failures`, instead of
+    aborting the remaining cells; request level inconsistencies are
+    rejected by SolveRequest itself.
     """
     ny, nx = len(req.y_levels), len(req.spatial_points)
     values = np.empty((ny, nx))
     errors = np.empty((ny, nx))
     flags = np.empty((ny, nx), dtype=bool)
+    failures = np.full((ny, nx), "", dtype=object)
     for i, y in enumerate(req.y_levels):
         for j, x in enumerate(req.spatial_points):
             try:
@@ -498,12 +522,14 @@ def solve_grid(req: SolveRequest) -> SolutionGrid:
                     r = solve_euler(req.data, y, x, req.a, req.cfg)
                 else:
                     r = solve_oscillator(req.data, y, x, req.a, req.cfg)
-            except (ValueError, ArithmeticError) as _exc:
+            except (ValueError, ArithmeticError) as exc:
                 values[i, j] = math.nan
                 errors[i, j] = math.inf
                 flags[i, j] = False
+                failures[i, j] = f"{type(exc).__name__}: {exc}"
                 continue
             values[i, j] = r.value
             errors[i, j] = r.error_estimate
             flags[i, j] = r.converged
-    return SolutionGrid(req.y_levels, req.spatial_points, values, errors, flags)
+    return SolutionGrid(req.y_levels, req.spatial_points, values, errors, flags,
+                        failures)

@@ -33,10 +33,8 @@ from .kernels import (
 from .oracles import (
     SpectralConfig,
     VerificationReport,
-    _hermite_all,
     boundary_limit_gap,
     eigen_solution_field,
-    hermite_function,
     kernel_field,
     limit_a_to_zero_gap,
     make_report,
@@ -46,6 +44,14 @@ from .oracles import (
     spectral_heat_kernel,
     spectral_poisson_kernel,
 )
+from .numerics import (
+    NODES_PER_PANEL,
+    graded_breakpoints,
+    hermite_all,
+    hermite_function,
+    leggauss,
+    split_panels,
+)
 from .quadrature import (
     QuadratureConfig,
     integrate_semi_infinite,
@@ -54,10 +60,6 @@ from .quadrature import (
 )
 from .solvers import (
     InitialData,
-    _graded_breakpoints,
-    _leggauss,
-    _NODES_PER_PANEL,
-    _split_panels,
     solve_dirac,
     solve_euler,
     solve_oscillator,
@@ -191,7 +193,7 @@ def check_orthonormality(cfg: QuadratureConfig,
         nodes, weights = np.polynomial.legendre.leggauss(600)
         x = half_width * nodes
         w = half_width * weights
-        phi = _hermite_all(n_max, a, x)            # (16, 600)
+        phi = hermite_all(n_max, a, x)            # (16, 600)
         gram = (phi * w) @ phi.T
         dev = float(np.max(np.abs(gram - np.eye(n_max + 1))))
         reports.append(make_report(
@@ -351,16 +353,16 @@ def _oscillator_ck_gap(a: float, y1: float, y2: float, x: float, xp: float,
     pa = OscillatorParam(a)
     reach = max(abs(x), abs(xp)) + 7.0 / math.sqrt(a)
     bps = np.unique(np.concatenate([
-        _graded_breakpoints(-reach, reach, x, 0.5 * y1),
-        _graded_breakpoints(-reach, reach, xp, 0.5 * y2),
+        graded_breakpoints(-reach, reach, x, 0.5 * y1),
+        graded_breakpoints(-reach, reach, xp, 0.5 * y2),
     ]))
-    nodes, weights = _leggauss(_NODES_PER_PANEL)
+    nodes, weights = leggauss(NODES_PER_PANEL)
 
     previous = None
     value = kerr = 0.0
     for rung in range(4):
         parts = 2 ** rung
-        grid = _split_panels(bps, parts)
+        grid = split_panels(bps, parts)
         value = kerr = 0.0
         for p0, p1 in zip(grid[:-1], grid[1:]):
             mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)

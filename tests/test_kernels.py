@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import levy
 
@@ -65,9 +65,11 @@ class TestDirac:
     @settings(max_examples=60, deadline=None)
     @given(y=st.floats(0.1, 10.0), s=st.floats(1e-2, 20.0),
            k=st.integers(-3, 3))
+    @example(y=6.0, s=0.125, k=2)
     def test_parabolic_scaling(self, y, s, k):
         # P(c y, X, X + c^2 s) = c^{-2} P(y, X, X + s) with dyadic c; the
-        # two sides only differ by a few ulp of the log-domain exponent
+        # direct form scales exactly, and where the log-domain form takes
+        # over the values are far below the absolute tolerance
         c = 2.0 ** k
         lhs = dirac_kernel(EvaluationPoint(c * y, 0.0, c * c * s)).value
         rhs = dirac_kernel(EvaluationPoint(y, 0.0, s)).value / (c * c)

@@ -190,19 +190,32 @@ class TestOscillatorSolve:
             assert res.value == pytest.approx(expected, rel=1e-10, abs=1e-13)
 
     def test_odd_datum_vanishes_at_origin(self):
+        # the signed heat flow cancels to rounding noise here, so the
+        # u-quadrature must converge against the magnitude of the datum
         res = solve_oscillator(InitialData.eigenfunction(1), 0.7, 0.0, 1.0)
+        assert res.converged
         assert abs(res.value) <= max(res.error_estimate, 1e-12)
 
-    def test_gaussian_datum_against_quad(self):
+    @pytest.mark.parametrize("data", [
+        InitialData.gaussian(0.3, 0.8),
+        InitialData.bump(0.2, 1.1),
+        InitialData.sampled(np.linspace(-2.5, 2.5, 201),
+                            np.exp(-np.linspace(-2.5, 2.5, 201) ** 2)
+                            * np.cos(2.0 * np.linspace(-2.5, 2.5, 201))),
+    ], ids=["gaussian", "bump", "sampled201"])
+    def test_datum_against_quad(self, data):
+        # kernel-first reference: scipy's adaptive rule over pointwise
+        # subordination kernels, independent of the datum-first solver
         from poissonline.kernels import OscillatorParam, oscillator_poisson_kernel
 
-        data = InitialData.gaussian(0.3, 0.8)
         y, x, a = 0.9, -0.4, 1.5
+        lo, hi = data.effective_support()
         res = solve_oscillator(data, y, x, a)
         ref, _ = quad(
             lambda xp: oscillator_poisson_kernel(
                 EvaluationPoint(y, x, xp), OscillatorParam(a)).value * float(data(xp)),
-            -9.0, 9.0, epsabs=1e-13, epsrel=1e-10, limit=200)
+            lo, hi, epsabs=1e-13, epsrel=1e-10, limit=200)
+        assert res.converged
         assert res.value == pytest.approx(ref, rel=1e-8)
 
     def test_error_estimate_covers_truth(self):
@@ -226,6 +239,18 @@ class TestLinearity:
         u1 = solve_dirac(base, 0.8, -1.0, cfg).value
         u2 = solve_dirac(scaled, 0.8, -1.0, cfg).value
         assert u2 == pytest.approx(2.5 * u1, rel=1e-12)
+
+    def test_oscillator_solver_is_linear_in_the_datum(self):
+        y, x, a = 0.6, 0.3, 1.2
+        g1, g2 = InitialData.gaussian(-0.5, 0.4), InitialData.gaussian(0.8, 0.7)
+        grid = np.linspace(-6.0, 6.0, 241)
+        mixed = InitialData.sampled(grid, 2.5 * g1(grid) - 1.5 * g2(grid))
+        parts = InitialData.sampled(grid, g1(grid)), InitialData.sampled(grid, g2(grid))
+        u1, u2 = (solve_oscillator(d, y, x, a) for d in parts)
+        um = solve_oscillator(mixed, y, x, a)
+        assert u1.converged and u2.converged and um.converged
+        assert um.value == pytest.approx(2.5 * u1.value - 1.5 * u2.value,
+                                         rel=1e-10, abs=um.error_estimate)
 
 
 class TestSolveGrid:
@@ -276,4 +301,6 @@ class TestSolveGrid:
         assert math.isnan(grid.values[0, 1])
         assert math.isinf(grid.error_estimates[0, 1])
         assert not grid.converged[0, 1]
+        assert grid.failures[0, 1] == "ArithmeticError: synthetic cell failure"
         assert grid.converged[0, 0] and grid.converged[0, 2]
+        assert grid.failures[0, 0] == grid.failures[0, 2] == ""
