@@ -94,13 +94,14 @@ class OscillatorParam:
             raise ValueError(f"a must be positive, got {self.a!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelValue:
     """Kernel evaluation with its numerical error estimate.
 
     Closed-form kernels report error_estimate 0.0.  Kernels obtained by
     quadrature forward the quadrature error estimate and set `converged`
-    to False instead of silently returning a degraded value.
+    to False instead of silently returning a degraded value.  Slotted, so
+    that callers who keep many values hold no per-instance dict.
     """
 
     value: float

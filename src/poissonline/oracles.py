@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .kernels import (
@@ -186,8 +185,11 @@ def _heat_sum_mp(t: float, x: float, xp: float, a: float, n_max: int) -> float:
     magnitudes (e.g. to ~1e-18 from terms of size ~0.1), so the sum is
     carried out in mpmath from the exact binary values of the inputs,
     with the working precision doubled until the measured cancellation
-    leaves at least 20 digits of headroom.
+    leaves at least 20 digits of headroom.  mpmath is imported here, on
+    first use, so that importing the package does not load it.
     """
+    import mpmath as mp
+
     dps = 50
     while True:
         with mp.workdps(dps):

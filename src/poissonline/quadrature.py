@@ -17,6 +17,16 @@ with step halving converges at a spectral rate while reusing every sample.
 Tails of the trapezoid sum are cut once the samples stay `decay_cutoff`
 natural-log units below the running maximum.
 
+The state is held in numpy arrays.  Each refinement level is two arrays in
+k order, sign and log F at w = h * k for k_lo..k_hi.  Halving the step
+draws only the new odd samples, in one integrand call, and interleaves them
+with the previous level; the level sum is one reduction over the arrays.
+Tails grow outward in blocks, both tails in one integrand call per block.
+The peak u* comes from a coarse log-spaced scan followed by two bracket
+rounds of nine points each; it sets where the grid sits and where the
+tails are cut, not the converged value, so it is located only to about a
+hundredth of a log unit.
+
 All routines are deterministic: identical inputs produce bit-identical
 results, and no global state is touched.
 """
@@ -53,13 +63,20 @@ _SCAN_LO = math.log(1e-8)
 _SCAN_HI = math.log(1e8)
 _SCAN_LIMIT = 140.0
 _SCAN_STEP = 0.3
-_BISECT_WIDTH = 1e-3
+_BRACKET_POINTS = 9       # interior points scored per bracket round
+_BRACKET_ROUNDS = 2
+_BRACKET_WIDTH = 1e-3     # a bracket this narrow needs no further round
 
 _BASE_STEP = 0.5          # trapezoid step at refinement depth 0
 _MIN_TAIL_SPAN = 2.0      # never cut a tail before |w| reaches this span
 _TAIL_RUN = 3             # consecutive sub-cutoff samples that end a tail
+_TAIL_BLOCK = 16          # samples drawn per tail and integrand call
 _MAX_POINTS = 2_000_000   # safety valve against runaway refinement
 _LOG_U_CAP = 700.0        # |log u| cap so exp(log u) stays finite and nonzero
+
+_BRACKET_FRACTIONS = np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1)
+_BLOCK_K = np.arange(_TAIL_BLOCK)
+_NO_RUN = np.zeros(_TAIL_RUN - 1, dtype=bool)
 
 
 class IntegrandEvaluationError(RuntimeError):
@@ -127,14 +144,24 @@ class QuadratureResult:
 
 
 def _probe(integrand: LogIntegrand, u: np.ndarray, counter: list) -> tuple:
-    """Evaluate the integrand, validate samples, count evaluations."""
+    """Evaluate the integrand, validate samples, count evaluations.
+
+    The fast path checks two reductions: the largest log-magnitude (a NaN
+    propagates into it) and the largest |sign|.  Only when one of them
+    fails is the per-sample mask built, to name the offending abscissa.
+    """
     sign, logmag = integrand(u)
-    sign = np.broadcast_to(np.asarray(sign, dtype=float), u.shape)
-    logmag = np.broadcast_to(np.asarray(logmag, dtype=float), u.shape)
+    sign = np.asarray(sign, dtype=float)
+    logmag = np.asarray(logmag, dtype=float)
+    if sign.shape != u.shape:
+        sign = np.broadcast_to(sign, u.shape)
+    if logmag.shape != u.shape:
+        logmag = np.broadcast_to(logmag, u.shape)
     counter[0] += u.size
-    bad = np.isnan(logmag) | np.isposinf(logmag) | ~np.isfinite(sign)
-    if np.any(bad):
-        raise IntegrandEvaluationError(float(u[int(np.argmax(bad))]))
+    if not (logmag.max() < math.inf and np.abs(sign).max() <= 1.0):
+        bad = np.isnan(logmag) | np.isposinf(logmag) | ~np.isfinite(sign)
+        if np.any(bad):
+            raise IntegrandEvaluationError(float(u[int(np.argmax(bad))]))
     return sign, logmag
 
 
@@ -142,7 +169,8 @@ def _find_split(integrand: LogIntegrand, counter: list, hints=()):
     """Locate the maximizer of |f(u)| * u on a log axis.
 
     Coarse log-spaced scan, widened while the maximum sits on an edge,
-    followed by bisection on the sign of the finite-difference slope.
+    followed by at most _BRACKET_ROUNDS vectorized rounds that each score
+    _BRACKET_POINTS points across the bracket around the best point.
     `hints` are extra abscissae always included in the scan, so that a
     support window narrower than the scan step is never stepped over.
     Returns None when the integrand is identically zero over the widest
@@ -165,7 +193,10 @@ def _find_split(integrand: LogIntegrand, counter: list, hints=()):
         n = max(int((t_hi - t_lo) / _SCAN_STEP) + 1, 9)
         t = np.linspace(t_lo, t_hi, n)
         if log_hints.size:
-            t = np.unique(np.concatenate([t, log_hints]))
+            # sorted and deduplicated as np.unique would, which would load
+            # numpy.ma on its first call
+            t = np.sort(np.concatenate([t, log_hints]))
+            t = t[np.concatenate([[True], t[1:] != t[:-1]])]
             n = t.size
         sc = scores(t)
         if np.all(np.isneginf(sc)):
@@ -183,107 +214,116 @@ def _find_split(integrand: LogIntegrand, counter: list, hints=()):
             continue
         break
 
+    # Bracket rounds: score _BRACKET_POINTS interior points of the bracket
+    # and re-centre it on the best point seen, at one grid step either side.
+    # The best point never leaves the bracket, so a support window whose
+    # neighbours both sample as -inf is not lost.
     lo = t[max(i - 1, 0)]
     hi = t[min(i + 1, n - 1)]
     best, best_score = t[i], sc[i]
-    # Ternary refinement that never lets the best point leave the bracket;
-    # plain slope bisection would lose a support window whose neighbours
-    # both sample as -inf.
-    while hi - lo > _BISECT_WIDTH:
-        ml = 0.5 * (lo + best)
-        mr = 0.5 * (best + hi)
-        pair = scores(np.array([ml, mr]))
-        if pair[0] > best_score and pair[0] >= pair[1]:
-            hi, best, best_score = best, ml, pair[0]
-        elif pair[1] > best_score:
-            lo, best, best_score = best, mr, pair[1]
-        else:
-            lo, hi = ml, mr
+    for _round in range(_BRACKET_ROUNDS):
+        if hi - lo <= _BRACKET_WIDTH:
+            break
+        grid = lo + (hi - lo) * _BRACKET_FRACTIONS
+        sc = scores(grid)
+        j = int(np.argmax(sc))
+        if sc[j] > best_score:
+            best, best_score = grid[j], sc[j]
+        step = (hi - lo) / (_BRACKET_POINTS + 1)
+        lo, hi = max(lo, best - step), min(hi, best + step)
     return math.exp(best)
 
 
-class _TrapezoidState:
-    """Cache of transformed samples F(w) = f(u* e^w) * u* e^w.
+class _Sampler:
+    """Draws transformed samples F(w) = f(u* e^w) * u* e^w as arrays.
 
-    Samples are stored keyed by w.  Grid abscissae are dyadic multiples of
-    the base step, so the float keys are exact and shared across levels.
+    Returns (sign, log F) for an array of w and keeps `peak`, the running
+    maximum of log F over every sample drawn, against which tails are cut.
     """
 
     def __init__(self, integrand: LogIntegrand, u_star: float, counter: list):
         self.integrand = integrand
         self.log_u_star = math.log(u_star)
         self.counter = counter
-        self.sign = {}
-        self.logf = {}
-        self.max_logf = -math.inf
+        self.peak = -math.inf
 
-    def ensure(self, ws):
-        new = [w for w in ws if w not in self.logf]
-        if not new:
-            return
-        w_arr = np.asarray(new, dtype=float)
-        log_u = self.log_u_star + w_arr
-        u = np.exp(log_u)
-        sign, logmag = _probe(self.integrand, u, self.counter)
+    def __call__(self, w: np.ndarray) -> tuple:
+        log_u = self.log_u_star + w
+        sign, logmag = _probe(self.integrand, np.exp(log_u), self.counter)
         logf = np.where(sign == 0.0, -np.inf, logmag + log_u)
-        for w, s, g in zip(new, sign.tolist(), logf.tolist()):
-            self.sign[w] = s
-            self.logf[w] = g
-            if g > self.max_logf:
-                self.max_logf = g
-
-    def in_range(self, w: float) -> bool:
-        return abs(w + self.log_u_star) <= _LOG_U_CAP
+        self.peak = max(self.peak, float(logf.max()))
+        return sign, logf
 
 
-def _extend_tail(state: _TrapezoidState, h: float, k_start: int,
-                 direction: int, cutoff: float) -> int:
-    """Grow one tail at spacing h; return the final index reached."""
-    k = k_start
-    run = 0
-    last = k_start - 1
-    while True:
-        block = []
-        for kk in range(k, k + 8):
-            w = direction * (h * kk)
-            if not state.in_range(w):
-                break
-            block.append((kk, w))
-        if not block:
-            return last
-        state.ensure([w for _, w in block])
-        for kk, w in block:
-            last = kk
-            if state.logf[w] < state.max_logf - cutoff:
-                run += 1
-            else:
-                run = 0
-            if run >= _TAIL_RUN and kk * h >= _MIN_TAIL_SPAN:
-                return kk
-        if len(block) < 8:
-            return last
-        k += 8
+def _grow_tails(sample: _Sampler, h: float, sign: np.ndarray, logf: np.ndarray,
+                k_lo: int, k_hi: int, directions, cutoff: float) -> tuple:
+    """Extend the level held over k_lo..k_hi outward at spacing h.
+
+    `directions` names the tails to grow: +1 beyond k_hi, -1 below k_lo.
+    Each round draws the next _TAIL_BLOCK samples of every open tail in
+    one integrand call.  A tail ends at the first index that closes a run
+    of _TAIL_RUN samples below peak - cutoff at |w| >= _MIN_TAIL_SPAN, or
+    where |log u| would pass _LOG_U_CAP.  Returns the extended
+    (sign, log F, k_lo, k_hi).
+    """
+    k_span = math.ceil(_MIN_TAIL_SPAN / h)    # exact: h is a power of two
+    # per direction: next |k|, flags of the last _TAIL_RUN - 1 samples,
+    # and the sign and log F blocks drawn so far, in outward order
+    tails = {d: [k_hi + 1 if d > 0 else 1 - k_lo, _NO_RUN, [], []]
+             for d in directions}
+    open_dirs = list(directions)
+    while open_dirs:
+        blocks = []
+        for d in open_dirs:
+            w = (d * h) * (tails[d][0] + _BLOCK_K)
+            if abs(w[-1] + sample.log_u_star) > _LOG_U_CAP:
+                w = w[np.abs(w + sample.log_u_star) <= _LOG_U_CAP]
+            if w.size:
+                blocks.append((d, w))
+        if not blocks:
+            break
+        new_sign, new_logf = sample(np.concatenate([w for _, w in blocks]))
+        below = new_logf < sample.peak - cutoff
+        open_dirs = []
+        pos = 0
+        for d, w in blocks:
+            tail = tails[d]
+            part = slice(pos, pos + w.size)
+            pos += w.size
+            flags = np.concatenate([tail[1], below[part]])
+            # closed[j]: sample j ends a run of _TAIL_RUN sub-cutoff samples
+            closed = flags[_TAIL_RUN - 1:].copy()
+            for lag in range(1, _TAIL_RUN):
+                closed &= flags[_TAIL_RUN - 1 - lag:flags.size - lag]
+            closed[:max(k_span - tail[0], 0)] = False
+            j = int(np.argmax(closed))
+            m = j + 1 if closed[j] else w.size
+            tail[2].append(new_sign[part][:m])
+            tail[3].append(new_logf[part][:m])
+            if m == _TAIL_BLOCK and not closed[j]:
+                open_dirs.append(d)
+                tail[0] += _TAIL_BLOCK
+                tail[1] = flags[_TAIL_BLOCK:]
+    for d, (_, _, signs, logfs) in tails.items():
+        if not signs:       # the tail already ends at the |log u| cap
+            continue
+        s_out, g_out = np.concatenate(signs), np.concatenate(logfs)
+        if d > 0:
+            sign, logf = np.concatenate([sign, s_out]), np.concatenate([logf, g_out])
+            k_hi += s_out.size
+        else:
+            sign = np.concatenate([s_out[::-1], sign])
+            logf = np.concatenate([g_out[::-1], logf])
+            k_lo -= s_out.size
+    return sign, logf, k_lo, k_hi
 
 
-def _tail_hot(state: _TrapezoidState, h: float, k_edge: int, direction: int,
-              cutoff: float) -> bool:
-    ks = range(max(k_edge - _TAIL_RUN + 1, 0), k_edge + 1)
-    threshold = state.max_logf - cutoff
-    return any(state.logf[direction * (h * k)] >= threshold for k in ks)
-
-
-def _level_sum(state: _TrapezoidState, h: float, k_lo: int, k_hi: int) -> float:
-    g = np.empty(k_hi - k_lo + 1)
-    s = np.empty(k_hi - k_lo + 1)
-    for i, k in enumerate(range(k_lo, k_hi + 1)):
-        w = h * k
-        g[i] = state.logf[w]
-        s[i] = state.sign[w]
-    m = float(np.max(g))
+def _level_sum(sign: np.ndarray, logf: np.ndarray, h: float) -> float:
+    m = float(logf.max())
     if m == -math.inf:
         return 0.0
     with np.errstate(under="ignore"):
-        total = float(np.sum(s * np.exp(g - m)))
+        total = float(np.sum(sign * np.exp(logf - m)))
     if total == 0.0:
         return 0.0
     log_mag = m + math.log(h) + math.log(abs(total))
@@ -325,27 +365,41 @@ def integrate_semi_infinite(integrand: LogIntegrand,
     if u_star is None:
         return QuadratureResult(0.0, 0.0, counter[0], True)
 
-    state = _TrapezoidState(integrand, u_star, counter)
+    cutoff = cfg.decay_cutoff
+    sample = _Sampler(integrand, u_star, counter)
     h = _BASE_STEP
-    state.ensure([0.0])
-    k_hi = _extend_tail(state, h, 1, +1, cfg.decay_cutoff)
-    k_lo = -_extend_tail(state, h, 1, -1, cfg.decay_cutoff)
+    # The level is held in k order, k_lo..k_hi, with w = h * k.  It starts
+    # empty (k_lo = 0, k_hi = -1), so that the upper tail starts at the
+    # centre sample k = 0.
+    sign, logf, k_lo, k_hi = _grow_tails(sample, h, np.empty(0), np.empty(0),
+                                         0, -1, (+1, -1), cutoff)
 
-    value = _level_sum(state, h, k_lo, k_hi)
+    value = _level_sum(sign, logf, h)
     err = math.inf
     converged = False
     for _depth in range(cfg.max_refinement_depth):
         h *= 0.5
         k_lo *= 2
         k_hi *= 2
-        state.ensure([h * k for k in range(k_lo + 1, k_hi, 2)])
+        s_odd, g_odd = sample(h * np.arange(k_lo + 1, k_hi, 2))
+        fine_sign = np.empty(k_hi - k_lo + 1)
+        fine_logf = np.empty(k_hi - k_lo + 1)
+        fine_sign[0::2], fine_sign[1::2] = sign, s_odd
+        fine_logf[0::2], fine_logf[1::2] = logf, g_odd
+        sign, logf = fine_sign, fine_logf
         # The finer grid can reveal that a tail was cut while still warm;
         # push it further out at the current spacing when that happens.
-        if _tail_hot(state, h, k_hi, +1, cfg.decay_cutoff):
-            k_hi = _extend_tail(state, h, k_hi + 1, +1, cfg.decay_cutoff)
-        if _tail_hot(state, h, -k_lo, -1, cfg.decay_cutoff):
-            k_lo = -_extend_tail(state, h, -k_lo + 1, -1, cfg.decay_cutoff)
-        new_value = _level_sum(state, h, k_lo, k_hi)
+        # Each tail's last _TAIL_RUN samples stop at w = 0.
+        threshold = sample.peak - cutoff
+        hot = []
+        if logf[logf.size - min(_TAIL_RUN, k_hi + 1):].max() >= threshold:
+            hot.append(+1)
+        if logf[:min(_TAIL_RUN, 1 - k_lo)].max() >= threshold:
+            hot.append(-1)
+        if hot:
+            sign, logf, k_lo, k_hi = _grow_tails(sample, h, sign, logf,
+                                                 k_lo, k_hi, hot, cutoff)
+        new_value = _level_sum(sign, logf, h)
         err = abs(new_value - value)
         value = new_value
         if math.isfinite(value) and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):

@@ -37,7 +37,12 @@ from .numerics import (
     not_a_knot_spline,
     split_panels,
 )
-from .quadrature import QuadratureConfig, integrate_semi_infinite
+from .quadrature import (
+    IntegrandEvaluationError,
+    NonConvergenceError,
+    QuadratureConfig,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "InitialData",
@@ -503,10 +508,11 @@ class SolutionGrid:
 def solve_grid(req: SolveRequest) -> SolutionGrid:
     """Run the requested solver over its grid, aggregating per-cell failures.
 
-    A cell whose evaluation raises a numerical error is recorded as
-    (nan, inf, False), with the exception in `failures`, instead of
-    aborting the remaining cells; request level inconsistencies are
-    rejected by SolveRequest itself.
+    A cell whose evaluation raises a numerical error (ValueError,
+    ArithmeticError, IntegrandEvaluationError or NonConvergenceError) is
+    recorded as (nan, inf, False), with the exception in `failures`,
+    instead of aborting the remaining cells; request level inconsistencies
+    are rejected by SolveRequest itself.
     """
     ny, nx = len(req.y_levels), len(req.spatial_points)
     values = np.empty((ny, nx))
@@ -522,7 +528,8 @@ def solve_grid(req: SolveRequest) -> SolutionGrid:
                     r = solve_euler(req.data, y, x, req.a, req.cfg)
                 else:
                     r = solve_oscillator(req.data, y, x, req.a, req.cfg)
-            except (ValueError, ArithmeticError) as exc:
+            except (ValueError, ArithmeticError, IntegrandEvaluationError,
+                    NonConvergenceError) as exc:
                 values[i, j] = math.nan
                 errors[i, j] = math.inf
                 flags[i, j] = False

@@ -79,6 +79,7 @@ __all__ = [
 REFERENCE_OSCILLATOR_POISSON_ORIGIN = 0.25955327199433076
 
 _SQRT2 = math.sqrt(2.0)
+_GRAM_PANELS = 32          # Gauss-Legendre panels of the Gram check
 
 
 def _fmt(v: float) -> str:
@@ -185,15 +186,22 @@ def check_poisson_oracle(cfg: QuadratureConfig,
 
 def check_orthonormality(cfg: QuadratureConfig,
                          scale: float) -> list[VerificationReport]:
-    """Gram matrix of phi_0..phi_15 equals the identity under quadrature."""
+    """Gram matrix of phi_0..phi_15 equals the identity under quadrature.
+
+    The Gram integrals run over [-half_width, half_width] split into
+    _GRAM_PANELS equal Gauss-Legendre panels of NODES_PER_PANEL nodes.
+    """
     reports = []
     n_max = 15
+    nodes, weights = leggauss(NODES_PER_PANEL)
     for a in (1.0, 2.0):
         half_width = math.sqrt((2 * n_max + 1) / a) + 12.0 / math.sqrt(a)
-        nodes, weights = np.polynomial.legendre.leggauss(600)
-        x = half_width * nodes
-        w = half_width * weights
-        phi = hermite_all(n_max, a, x)            # (16, 600)
+        edges = np.linspace(-half_width, half_width, _GRAM_PANELS + 1)
+        mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+        half = 0.5 * np.diff(edges)[:, None]
+        x = (mid + half * nodes).ravel()
+        w = (half * weights).ravel()
+        phi = hermite_all(n_max, a, x)            # (16, 32 * 16)
         gram = (phi * w) @ phi.T
         dev = float(np.max(np.abs(gram - np.eye(n_max + 1))))
         reports.append(make_report(
@@ -309,6 +317,17 @@ def _dirac_ck_gap(y1: float, y2: float, X: float, Xp: float,
     return abs(conv - direct) / direct
 
 
+def _euler_log_kernel(y: float, r, rp, a: float):
+    """log of the scaling kernel on a branch, vectorized over 0 < rp < r.
+
+    The closed form of `euler_kernel`, written out here in arrays so that
+    the Chapman-Kolmogorov integrand costs one numpy pass per probe.
+    """
+    log_ratio = np.log1p((r - rp) / rp)
+    return (0.5 * (math.log(a) - math.log(2.0 * math.pi)) + math.log(y)
+            - np.log(rp) - 1.5 * np.log(log_ratio) - a * y * y / (2.0 * log_ratio))
+
+
 def _euler_ck_gap(a: float, y1: float, y2: float, xi: float, xip: float,
                   cfg: QuadratureConfig) -> float:
     """Relative Chapman-Kolmogorov defect of the scaling kernel.
@@ -318,24 +337,16 @@ def _euler_ck_gap(a: float, y1: float, y2: float, xi: float, xip: float,
     d zeta = 2 a |zeta| ds.
     """
     pa = OscillatorParam(a)
-    branch = 1.0 if xi > 0 else -1.0
-    r = abs(xi)
-    S = math.log(abs(xi) / abs(xip)) / (2.0 * a)
+    r, rp = abs(xi), abs(xip)
+    S = math.log(r / rp) / (2.0 * a)
 
     def integrand(s):
-        sign = np.zeros_like(s)
-        logmag = np.full_like(s, -np.inf)
-        for i, sv in enumerate(s.tolist()):
-            if not sv < S:
-                continue
-            zeta = branch * r * math.exp(-2.0 * a * sv)
-            v = (euler_kernel(EvaluationPoint(y1, xi, zeta), pa).value
-                 * euler_kernel(EvaluationPoint(y2, zeta, xip), pa).value
-                 * 2.0 * a * abs(zeta))
-            if v > 0.0:
-                sign[i] = 1.0
-                logmag[i] = math.log(v)
-        return sign, logmag
+        z = r * np.exp(-2.0 * a * s)                    # |zeta|
+        inside = (s < S) & (z > rp) & (z < r)
+        z = np.where(inside, z, 0.5 * (r + rp))          # any point of the branch
+        logmag = (_euler_log_kernel(y1, r, z, a) + _euler_log_kernel(y2, z, rp, a)
+                  + np.log(2.0 * a * z))
+        return inside.astype(float), np.where(inside, logmag, -np.inf)
 
     conv = integrate_semi_infinite(integrand, cfg).value
     direct = euler_kernel(EvaluationPoint(y1 + y2, xi, xip), pa).value

@@ -1,6 +1,8 @@
 """Spectral, stencil, and limit oracles against closed forms."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,3 +264,14 @@ class TestReports:
             SpectralConfig(0, 1.0)
         with pytest.raises(ValueError):
             SpectralConfig(10, -1.0)
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath is needed only by the spectral heat oracle and is loaded there
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, poissonline, poissonline.cli; "
+         "print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import kv
 
 from poissonline.quadrature import (
     IntegrandEvaluationError,
@@ -137,3 +138,120 @@ def test_subordination_rejects_nonpositive_arguments():
         subordination_base_residual(0.0, 1.0)
     with pytest.raises(ValueError):
         subordination_derived_residual(1.0, -2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu=st.floats(-2.5, 2.5, allow_subnormal=False),  # kv(5e-324, x) is nan
+       log10_peak=st.floats(-6.0, 6.0),
+       sharpness=st.floats(0.05, 40.0))
+def test_bessel_k_closed_form(nu, log10_peak, sharpness):
+    # integral_0^inf u^{nu-1} e^{-bu-c/u} du = 2 (c/b)^{nu/2} K_nu(2 sqrt(bc)),
+    # with b, c chosen so that 2 sqrt(bc) = sharpness and u f(u) peaks at
+    # u* = (nu + sqrt(nu^2 + 4bc)) / (2b) = 10**log10_peak
+    u_star = 10.0 ** log10_peak
+    b = (nu + math.hypot(nu, sharpness)) / (2.0 * u_star)
+    c = sharpness * sharpness / (4.0 * b)
+    ref = 2.0 * (c / b) ** (0.5 * nu) * kv(nu, sharpness)
+
+    def integrand(u):
+        return np.ones_like(u), (nu - 1.0) * np.log(u) - b * u - c / u
+
+    res = integrate_semi_infinite(integrand)
+    assert res.converged
+    assert abs(res.value - ref) <= res.error_estimate + 1e-12 * abs(ref)
+
+
+class _Recorder:
+    """Wraps an integrand and keeps a copy of every abscissa array."""
+
+    def __init__(self, integrand):
+        self.integrand = integrand
+        self.calls = []
+
+    def __call__(self, u):
+        self.calls.append(np.array(u, copy=True))
+        return self.integrand(u)
+
+
+def _poisoned(integrand, abscissa):
+    def poisoned(u):
+        sign, logmag = integrand(u)
+        return sign, np.where(u == abscissa, np.nan, logmag)
+    return poisoned
+
+
+def _first_seen_in(calls, index):
+    """An abscissa of calls[index] that no earlier call sampled."""
+    earlier = np.concatenate(calls[:index])
+    fresh = calls[index][~np.isin(calls[index], earlier)]
+    assert fresh.size
+    return float(fresh[fresh.size // 2])
+
+
+def test_nan_first_drawn_in_a_refinement_level_is_reported():
+    clean = _Recorder(gamma_half)
+    integrate_semi_infinite(clean)
+    # the last call draws the odd samples of the finest level
+    target = _first_seen_in(clean.calls, len(clean.calls) - 1)
+    with pytest.raises(IntegrandEvaluationError) as exc:
+        integrate_semi_infinite(_poisoned(gamma_half, target))
+    assert exc.value.abscissa == target
+
+
+def test_nan_first_drawn_in_a_tail_block_is_reported():
+    clean = _Recorder(gamma_half)
+    integrate_semi_infinite(clean)
+    scan = clean.calls[0]
+    # the outermost sample of the upper tail, which the scan never drew
+    later = np.concatenate(clean.calls[1:])
+    target = float(later[~np.isin(later, scan)].max())
+    with pytest.raises(IntegrandEvaluationError) as exc:
+        integrate_semi_infinite(_poisoned(gamma_half, target))
+    assert exc.value.abscissa == target
+
+
+@pytest.mark.parametrize("integrand, hints", [
+    (gamma_half, ()), (signed, ()), (narrow_bump, (6.0,)),
+])
+def test_evaluations_count_every_abscissa(integrand, hints):
+    rec = _Recorder(integrand)
+    res = integrate_semi_infinite(rec, probe_hints=hints)
+    assert res.evaluations == sum(u.size for u in rec.calls)
+
+
+def test_tail_found_warm_after_halving_is_extended():
+    # u e^{-u} is cut at w = log(u / u*) = 5 on the base grid (step 0.5,
+    # u* = 1).  Two bumps of weight A sit at w = 4.75, which only the first
+    # halving samples, and at w = 5.25, beyond that cut: it is integrated
+    # only if the warm tail is pushed further out.
+    amp, half_width = 0.2, 0.2
+    centers = (4.75, 5.25)
+    bump_mass = NARROW_BUMP_MASS / 0.01
+
+    def integrand(u):
+        t = np.log(u)
+        mag = np.exp(-u)
+        for c in centers:
+            z = (t - c) / half_width
+            inside = np.abs(z) < 1.0
+            zc = np.where(inside, z, 0.0)
+            mag = mag + np.where(inside, amp * np.exp(1.0 - 1.0 / (1.0 - zc * zc)), 0.0) / u
+        with np.errstate(divide="ignore"):
+            return np.where(mag > 0.0, 1.0, 0.0), np.log(mag)
+
+    res = integrate_semi_infinite(integrand)
+    assert res.converged
+    exact = 1.0 + len(centers) * amp * half_width * bump_mass
+    assert res.value == pytest.approx(exact, rel=1e-9)
+
+
+def test_tail_at_the_log_u_cap_is_not_extended_past_it():
+    # u f(u) ~ u^{-1e-4} never falls decay_cutoff below its peak, so the
+    # upper tail runs into the |log u| cap and is still warm after every
+    # halving; the result is reported, unconverged, instead of raising
+    def slow(u):
+        return np.ones_like(u), -1.0001 * np.log1p(u)
+
+    res = integrate_semi_infinite(slow, QuadratureConfig(max_refinement_depth=3))
+    assert math.isfinite(res.value)
+    assert not res.converged

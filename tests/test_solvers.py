@@ -9,7 +9,11 @@ from scipy.integrate import quad
 import poissonline.solvers as solvers
 from poissonline.kernels import DegenerateCharacteristicError, EvaluationPoint, dirac_kernel
 from poissonline.oracles import hermite_function
-from poissonline.quadrature import QuadratureConfig
+from poissonline.quadrature import (
+    IntegrandEvaluationError,
+    NonConvergenceError,
+    QuadratureConfig,
+)
 from poissonline.solvers import (
     InitialData,
     InvalidDataError,
@@ -287,20 +291,29 @@ class TestSolveGrid:
 
     def test_failed_cell_is_flagged_not_fatal(self, monkeypatch):
         real = solvers.solve_dirac
+        faults = {0.5: ArithmeticError("synthetic cell failure"),
+                  1.5: IntegrandEvaluationError(0.25),
+                  2.0: NonConvergenceError("synthetic non-convergence")}
 
         def flaky(data, y, target, cfg=None):
-            if target == 0.5:
-                raise ArithmeticError("synthetic cell failure")
+            if target in faults:
+                raise faults[target]
             return real(data, y, target, cfg)
 
         monkeypatch.setattr(solvers, "solve_dirac", flaky)
         req = SolveRequest(problem="dirac",
                            data=InitialData.exponential(1.0),
-                           y_levels=(1.0,), spatial_points=(0.0, 0.5, 1.0))
+                           y_levels=(1.0,),
+                           spatial_points=(0.0, 0.5, 1.0, 1.5, 2.0))
         grid = solvers.solve_grid(req)
-        assert math.isnan(grid.values[0, 1])
-        assert math.isinf(grid.error_estimates[0, 1])
-        assert not grid.converged[0, 1]
+        for j in (1, 3, 4):
+            assert math.isnan(grid.values[0, j])
+            assert math.isinf(grid.error_estimates[0, j])
+            assert not grid.converged[0, j]
         assert grid.failures[0, 1] == "ArithmeticError: synthetic cell failure"
+        assert grid.failures[0, 3] == (
+            "IntegrandEvaluationError: non-finite integrand sample at u=0.25")
+        assert grid.failures[0, 4] == (
+            "NonConvergenceError: synthetic non-convergence")
         assert grid.converged[0, 0] and grid.converged[0, 2]
         assert grid.failures[0, 0] == grid.failures[0, 2] == ""
