@@ -117,6 +117,42 @@ def _exp(logv: float) -> float:
     return math.exp(logv)
 
 
+def _split(a: float) -> tuple[float, float]:
+    """Veltkamp split of a into two halves of at most 26 bits each."""
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """Dekker's product: p + e == a * b exactly, p = fl(a * b)."""
+    p = a * b
+    a1, a2 = _split(a)
+    b1, b2 = _split(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _exp_neg_gap_ratio(y: float, s: float, q: float) -> float:
+    """exp(-y^2 / (4 s)) given q = fl(fl(y * y) / (4 s)).
+
+    exp turns the absolute rounding error of q into a relative error of
+    the result, q ulp-sized pieces of it.  For q >= 1 the exact residual
+    y^2 / (4 s) - q is recovered with error-free products on y and 4s
+    rescaled by the same power of two (so nothing overflows and the
+    scaling P(c y, X, X + c^2 s) = c^{-2} P(y, X, X + s) stays exact)
+    and applied to first order.
+    """
+    if q < 1.0:
+        return math.exp(-q)
+    k = math.frexp(y)[1]
+    yn = math.ldexp(y, -k)
+    dn = math.ldexp(4.0 * s, -2 * k)
+    hi, lo = _two_prod(yn, yn)
+    p, e = _two_prod(q, dn)
+    q_lo = ((hi - p) - e + lo) / dn
+    return math.exp(-q) * (1.0 - q_lo)
+
+
 def _log_stable_half_density(y: float, s):
     """log of (y / (2 sqrt(pi))) s^{-3/2} exp(-y^2 / (4 s)) for s > 0."""
     return (math.log(y) - _LOG2 - 0.5 * math.log(math.pi)
@@ -135,21 +171,22 @@ def dirac_kernel(p: EvaluationPoint) -> KernelValue:
     source variable for every y, and obeys the exact scaling
     P(c y, X, X + c^2 s) = c^{-2} P(y, X, X + s).
 
-    Where y^2 / (4s) < 700 and the prefactor is a normal float the value
+    Where y^2 / (4s) < 708 (exp(-708) is still normal) and the prefactor is a normal float the value
     is the product of the prefactor, built from correctly rounded
-    operations only, and exp(-y^2 / (4s)); a dyadic c then scales every
-    intermediate exactly, so the scaling holds to the last bit.  Elsewhere
-    the log-domain form is used.
+    operations only, and exp(-y^2 / (4s)) with the rounding error of the
+    exponent compensated; a dyadic c then scales every intermediate
+    exactly, so the scaling holds to the last bit.  Elsewhere the
+    log-domain form is used.
     """
     s = p.source - p.target
     if s <= 0.0:
         return KernelValue(0.0, 0.0)
     y = p.y
     q = y * y / (4.0 * s)
-    if q < 700.0:
+    if q < 708.0:
         prefactor = y / (_TWO_SQRT_PI * s * math.sqrt(s))
         if _MIN_NORMAL <= prefactor < math.inf:
-            return KernelValue(prefactor * math.exp(-q), 0.0)
+            return KernelValue(prefactor * _exp_neg_gap_ratio(y, s, q), 0.0)
     return KernelValue(_exp(float(_log_stable_half_density(y, s))), 0.0)
 
 
