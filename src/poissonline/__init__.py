@@ -17,6 +17,7 @@ from .kernels import (
     halfplane_poisson_kernel,
     mehler_heat_kernel,
     oscillator_poisson_kernel,
+    oscillator_poisson_kernel_batch,
 )
 from .oracles import (
     InsufficientOrderError,
@@ -37,6 +38,7 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
     integrate_semi_infinite,
+    integrate_semi_infinite_batch,
     subordination_base_residual,
     subordination_derived_residual,
 )
@@ -70,6 +72,7 @@ __all__ = [
     "halfplane_poisson_kernel",
     "mehler_heat_kernel",
     "oscillator_poisson_kernel",
+    "oscillator_poisson_kernel_batch",
     "InsufficientOrderError",
     "InvalidStencilError",
     "SpectralConfig",
@@ -86,6 +89,7 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "integrate_semi_infinite",
+    "integrate_semi_infinite_batch",
     "subordination_base_residual",
     "subordination_derived_residual",
     "InitialData",

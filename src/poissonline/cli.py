@@ -41,7 +41,7 @@ from .kernels import (
     euler_kernel,
     halfplane_poisson_kernel,
     mehler_heat_kernel,
-    oscillator_poisson_kernel,
+    oscillator_poisson_kernel_batch,
 )
 from .oracles import InsufficientOrderError, boundary_limit_gap, limit_a_to_zero_gap
 from .quadrature import NonConvergenceError, QuadratureConfig
@@ -287,18 +287,21 @@ def _run_kernel(ns) -> int:
     records = []
     all_converged = True
     for tgt in targets:
-        for src in sources:
-            if kernel == "dirac":
-                kv = dirac_kernel(EvaluationPoint(level, tgt, src))
-            elif kernel == "euler":
-                kv = euler_kernel(EvaluationPoint(level, tgt, src), param)
-            elif kernel == "oscillator":
-                kv = oscillator_poisson_kernel(
-                    EvaluationPoint(level, tgt, src), param, cfg)
-            elif kernel == "mehler":
-                kv = mehler_heat_kernel(level, tgt, src, param)
-            else:
-                kv = halfplane_poisson_kernel(EvaluationPoint(level, tgt, src))
+        if kernel == "oscillator":
+            row = oscillator_poisson_kernel_batch(level, [tgt] * len(sources),
+                                                  sources, param, cfg)
+        elif kernel == "dirac":
+            row = [dirac_kernel(EvaluationPoint(level, tgt, src))
+                   for src in sources]
+        elif kernel == "euler":
+            row = [euler_kernel(EvaluationPoint(level, tgt, src), param)
+                   for src in sources]
+        elif kernel == "mehler":
+            row = [mehler_heat_kernel(level, tgt, src, param) for src in sources]
+        else:
+            row = [halfplane_poisson_kernel(EvaluationPoint(level, tgt, src))
+                   for src in sources]
+        for src, kv in zip(sources, row):
             all_converged = all_converged and kv.converged
             records.append({
                 "level": level, "target": tgt, "source": src,

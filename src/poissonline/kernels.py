@@ -9,7 +9,8 @@ for one of three operators Op acting in the spatial variable:
 
 * transport  d/dX          -> `dirac_kernel`
 * scaling    -2 a xi d/dxi -> `euler_kernel`
-* oscillator d^2/dx^2 - a^2 x^2 -> `oscillator_poisson_kernel`
+* oscillator d^2/dx^2 - a^2 x^2 -> `oscillator_poisson_kernel`, and
+  `oscillator_poisson_kernel_batch` for many (target, source) pairs
 
 `mehler_heat_kernel` is the heat kernel of the oscillator, used both as a
 subordination ingredient and as an independent cross-check target, and
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureConfig, integrate_semi_infinite
+from .quadrature import QuadratureConfig, integrate_semi_infinite_batch
 
 __all__ = [
     "EvaluationPoint",
@@ -43,6 +44,7 @@ __all__ = [
     "euler_kernel",
     "mehler_heat_kernel",
     "oscillator_poisson_kernel",
+    "oscillator_poisson_kernel_batch",
     "halfplane_poisson_kernel",
 ]
 
@@ -234,16 +236,21 @@ def _mehler_log(t, x, xp, a):
     s is small, and evaluates sinh/coth/tanh through expm1 so that both
     s -> 0 and s -> inf are handled without overflow.
     """
+    dx = x - xp
+    return _mehler_log_terms(t, a, 0.5 * (np.log(a) - _LOG_2PI),
+                             0.5 * a * dx * dx, a * x * xp)
+
+
+def _mehler_log_terms(t, a, log_norm, spread, product):
+    """`_mehler_log` from its t-free terms: log_norm = 0.5 (log a - log 2pi),
+    spread = (a/2) (x - x')^2 and product = a x x'."""
     s = 2.0 * a * t
-    with np.errstate(over="ignore", under="ignore"):
-        em2 = np.expm1(2.0 * s)                     # inf for huge s is fine
-        one_minus = -np.expm1(-2.0 * s)             # 1 - exp(-2s)
-        log_sinh = s + np.log(one_minus) - _LOG2
-        coth = 1.0 + 2.0 / em2
-        tanh_half = np.tanh(0.5 * s)
-        dx = x - xp
-        return (0.5 * (np.log(a) - _LOG_2PI) - 0.5 * log_sinh
-                - 0.5 * a * dx * dx * coth - a * x * xp * tanh_half)
+    two_s = 2.0 * s
+    # expm1 stays finite up to 709, where 1 + 2 / expm1 already rounds to 1
+    coth = 1.0 + 2.0 / np.expm1(np.minimum(two_s, 709.0))
+    log_sinh = s + np.log(-np.expm1(-two_s)) - _LOG2      # 1 - exp(-2s)
+    tanh_half = np.tanh(0.5 * s)
+    return log_norm - 0.5 * log_sinh - spread * coth - product * tanh_half
 
 
 def mehler_heat_kernel(t: float, x: float, xp: float,
@@ -264,6 +271,11 @@ def mehler_heat_kernel(t: float, x: float, xp: float,
     return KernelValue(_exp(float(_mehler_log(t, x, xp, a.a))), 0.0)
 
 
+# (target, source) pairs integrated in lockstep by one quadrature call:
+# bounds the (pairs x samples) temporaries of each integrand call
+_BATCH_PAIRS = 64
+
+
 def oscillator_poisson_kernel(p: EvaluationPoint, a: OscillatorParam,
                               cfg: QuadratureConfig | None = None,
                               prefactor_scale: float = 1.0) -> KernelValue:
@@ -272,29 +284,73 @@ def oscillator_poisson_kernel(p: EvaluationPoint, a: OscillatorParam,
         P(y, x, x') = (y / (2 sqrt(pi))) *
                       integral_0^inf u^{-3/2} exp(-y^2 / (4u)) K(u, x, x') du
 
-    with K the oscillator heat kernel.  The u-integral is evaluated by
-    `integrate_semi_infinite`; its error estimate and convergence flag are
-    forwarded (scaled) in the returned KernelValue.
+    with K the oscillator heat kernel.  The u-integral is evaluated by the
+    semi-infinite quadrature; its error estimate and convergence flag are
+    forwarded (scaled) in the returned KernelValue.  This is the batch of
+    one of `oscillator_poisson_kernel_batch`.
 
     `prefactor_scale` multiplies the subordination prefactor.  1.0 is the
     mathematically consistent normalization; any other value deliberately
     breaks it and exists only as a fault-injection knob for the
     verification suites (sqrt(2) is the conventional negative control).
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
+    return oscillator_poisson_kernel_batch(p.y, (p.target,), (p.source,), a,
+                                           cfg, prefactor_scale)[0]
+
+
+def oscillator_poisson_kernel_batch(y: float, targets, sources,
+                                    a: OscillatorParam,
+                                    cfg: QuadratureConfig | None = None,
+                                    prefactor_scale: float = 1.0
+                                    ) -> list[KernelValue]:
+    """`oscillator_poisson_kernel` at (targets[i], sources[i]) pairs sharing (y, a).
+
+    The pairs' u-integrals run in lockstep, up to _BATCH_PAIRS of them
+    per `integrate_semi_infinite_batch` call, so that they share each
+    integrand evaluation.  Every pair keeps its own quadrature centre,
+    tail cuts, convergence test, error estimate and flag: nothing is
+    pooled, and each value is the one the single-pair call returns.
+    Returns one KernelValue per pair, in order; an empty batch gives [].
+    Mismatched lengths, or a target or source that is not a finite real
+    number, raise ValueError.
+    """
+    y = _checked_float(y, "y")
+    if y <= 0.0:
+        raise ValueError(f"y must be positive, got {y!r}")
+    xs = [_checked_float(v, "target") for v in targets]
+    xps = [_checked_float(v, "source") for v in sources]
+    if len(xs) != len(xps):
+        raise ValueError(f"got {len(xs)} targets but {len(xps)} sources")
     scale = _checked_float(prefactor_scale, "prefactor_scale")
     if scale <= 0.0:
         raise ValueError(f"prefactor_scale must be positive, got {scale!r}")
-    y, x, xp, aa = p.y, p.target, p.source, a.a
+    if cfg is None:
+        cfg = QuadratureConfig()
+    aa = a.a
     q = 0.25 * y * y
-
-    def integrand(u):
-        return np.ones_like(u), -1.5 * np.log(u) - q / u + _mehler_log(u, x, xp, aa)
-
-    res = integrate_semi_infinite(integrand, cfg)
+    log_norm = 0.5 * (np.log(aa) - _LOG_2PI)
     c = scale * y / (2.0 * _SQRT_PI)
-    return KernelValue(c * res.value, c * res.error_estimate, res.converged)
+    values = []
+    for start in range(0, len(xs), _BATCH_PAIRS):
+        pairs = list(zip(xs[start:start + _BATCH_PAIRS],
+                         xps[start:start + _BATCH_PAIRS]))
+        spread = [0.5 * aa * (x - xp) * (x - xp) for x, xp in pairs]
+        product = [aa * x * xp for x, xp in pairs]
+        if len(pairs) == 1:     # one pair: its terms broadcast over any rows
+            spread, product = spread[0], product[0]
+        else:
+            spread, product = np.array(spread)[:, None], np.array(product)[:, None]
+
+        def integrand(u, rows, spread=spread, product=product):
+            if not isinstance(spread, float):
+                spread, product = spread[rows], product[rows]
+            return (np.ones_like(u), -1.5 * np.log(u) - q / u
+                    + _mehler_log_terms(u, aa, log_norm, spread, product))
+
+        values.extend(
+            KernelValue(c * res.value, c * res.error_estimate, res.converged)
+            for res in integrate_semi_infinite_batch(integrand, len(pairs), cfg))
+    return values
 
 
 def halfplane_poisson_kernel(p: EvaluationPoint) -> KernelValue:

@@ -27,6 +27,7 @@ from .kernels import (
     dirac_kernel,
     euler_kernel,
     oscillator_poisson_kernel,
+    oscillator_poisson_kernel_batch,
     _log_stable_half_density,
     mehler_heat_kernel,
 )
@@ -359,7 +360,10 @@ def _oscillator_ck_gap(a: float, y1: float, y2: float, x: float, xp: float,
 
     The z-integral uses Gauss-Legendre panels graded around both kernel
     peaks (z = x and z = x'), with panel doubling until the ladder
-    difference drops under the accumulated kernel error.
+    difference drops under the accumulated kernel error.  Each rung takes
+    its factors from two batched kernel calls, P(y1, x, z_i) and
+    P(y2, z_i, x') over the rung's nodes z_i; every batched value is the
+    one the single-pair kernel returns.
     """
     pa = OscillatorParam(a)
     reach = max(abs(x), abs(xp)) + 7.0 / math.sqrt(a)
@@ -372,19 +376,21 @@ def _oscillator_ck_gap(a: float, y1: float, y2: float, x: float, xp: float,
     previous = None
     value = kerr = 0.0
     for rung in range(4):
-        parts = 2 ** rung
-        grid = split_panels(bps, parts)
-        value = kerr = 0.0
+        zs, ws = [], []
+        grid = split_panels(bps, 2 ** rung).tolist()
         for p0, p1 in zip(grid[:-1], grid[1:]):
             mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-            for zn, wn in zip((mid + half * nodes).tolist(), weights.tolist()):
-                k1 = oscillator_poisson_kernel(
-                    EvaluationPoint(y1, x, zn), pa, cfg, prefactor_scale=scale)
-                k2 = oscillator_poisson_kernel(
-                    EvaluationPoint(y2, zn, xp), pa, cfg, prefactor_scale=scale)
-                value += wn * half * k1.value * k2.value
-                kerr += abs(wn * half) * (abs(k1.value) * k2.error_estimate
-                                          + abs(k2.value) * k1.error_estimate)
+            zs.extend((mid + half * nodes).tolist())
+            ws.extend(wn * half for wn in weights.tolist())
+        k1 = oscillator_poisson_kernel_batch(y1, [x] * len(zs), zs, pa, cfg,
+                                             prefactor_scale=scale)
+        k2 = oscillator_poisson_kernel_batch(y2, zs, [xp] * len(zs), pa, cfg,
+                                             prefactor_scale=scale)
+        value = kerr = 0.0
+        for w, f, g in zip(ws, k1, k2):
+            value += w * f.value * g.value
+            kerr += abs(w) * (abs(f.value) * g.error_estimate
+                              + abs(g.value) * f.error_estimate)
         if previous is not None and abs(value - previous) <= 1e-9 + kerr:
             break
         previous = value

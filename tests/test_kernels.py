@@ -2,11 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import levy
 
 from poissonline.kernels import (
     DegenerateCharacteristicError,
@@ -18,8 +18,9 @@ from poissonline.kernels import (
     halfplane_poisson_kernel,
     mehler_heat_kernel,
     oscillator_poisson_kernel,
+    oscillator_poisson_kernel_batch,
 )
-from poissonline.quadrature import integrate_semi_infinite
+from poissonline.quadrature import QuadratureConfig, integrate_semi_infinite
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -55,11 +56,17 @@ class TestDirac:
 
     @settings(max_examples=100, deadline=None)
     @given(y=st.floats(0.05, 20.0), s=st.floats(1e-3, 50.0))
+    @example(y=1.5954809019811445, s=0.001)
     def test_matches_levy_density(self, y, s):
-        # the gap density is the one-sided stable-1/2 law; scipy's levy
-        # distribution with scale y^2/2 is an independent implementation
+        # the gap density is the one-sided stable-1/2 law: the Levy density
+        # sqrt(c / 2pi) s^{-3/2} exp(-c / 2s) with scale c = y^2/2, here in
+        # 40-digit arithmetic; scipy.stats.levy.pdf rounds its exponent and
+        # is off by up to 1.4e-13 where y^2/(4s) is in the hundreds
         ours = dirac_kernel(EvaluationPoint(y, 0.0, s)).value
-        ref = float(levy.pdf(s, scale=0.5 * y * y))
+        with mpmath.workdps(40):
+            c, gap = mpmath.mpf(y) ** 2 / 2, mpmath.mpf(s)
+            ref = float(mpmath.sqrt(c / (2 * mpmath.pi)) * gap ** mpmath.mpf(-1.5)
+                        * mpmath.exp(-c / (2 * gap)))
         assert ours == pytest.approx(ref, rel=1e-13, abs=1e-300)
 
     @settings(max_examples=60, deadline=None)
@@ -201,6 +208,81 @@ class TestOscillatorPoisson:
                                        OscillatorParam(a))
         assert kv.converged
         assert kv.value > 0.0
+
+
+def _pairs(a):
+    reach = 3.0 / math.sqrt(a)
+    side = st.floats(-reach, reach)
+    return st.lists(st.tuples(side, side), min_size=1, max_size=40)
+
+
+class TestOscillatorPoissonBatch:
+    @settings(max_examples=30, deadline=None)
+    @given(y=st.floats(0.05, 5.0), a=st.floats(0.05, 4.0), data=st.data())
+    def test_each_pair_matches_its_scalar_call(self, y, a, data):
+        pairs = data.draw(_pairs(a))
+        pa = OscillatorParam(a)
+        batch = oscillator_poisson_kernel_batch(
+            y, [x for x, _ in pairs], [xp for _, xp in pairs], pa)
+        assert len(batch) == len(pairs)
+        for (x, xp), kv in zip(pairs, batch):
+            one = oscillator_poisson_kernel(EvaluationPoint(y, x, xp), pa)
+            assert (abs(kv.value - one.value)
+                    <= kv.error_estimate + one.error_estimate + 1e-13 * abs(one.value))
+            assert kv.converged == one.converged
+
+    @settings(max_examples=30, deadline=None)
+    @given(y=st.floats(0.05, 5.0), a=st.floats(0.05, 4.0), data=st.data())
+    def test_symmetric_against_the_swapped_batch(self, y, a, data):
+        # P(y, x, x') = P(y, x', x).  The estimates do not cover rounding
+        # (they are 0.0 when two levels agree to the bit), and the swapped
+        # integrand rounds a x x' in the other order, hence the 1e-13.
+        pairs = data.draw(_pairs(a))
+        pa = OscillatorParam(a)
+        targets, sources = [x for x, _ in pairs], [xp for _, xp in pairs]
+        forward = oscillator_poisson_kernel_batch(y, targets, sources, pa)
+        swapped = oscillator_poisson_kernel_batch(y, sources, targets, pa)
+        for k1, k2 in zip(forward, swapped):
+            assert (abs(k1.value - k2.value)
+                    <= k1.error_estimate + k2.error_estimate + 1e-13 * abs(k1.value))
+
+    def test_every_pair_keeps_its_own_estimate_and_flag(self):
+        # a tight budget leaves the far pairs unconverged and the near ones
+        # converged; 70 pairs span two quadrature batches of at most 64
+        cfg = QuadratureConfig(rel_tol=1e-14, max_refinement_depth=2)
+        pa = OscillatorParam(1.0)
+        sources = [0.5 * (i % 17) - 4.0 for i in range(70)]
+        batch = oscillator_poisson_kernel_batch(0.3, [0.1] * 70, sources, pa, cfg)
+        flags = [kv.converged for kv in batch]
+        assert 0 < sum(flags) < len(flags)
+        assert len({kv.error_estimate for kv in batch}) > 1
+        for xp, kv in zip(sources, batch):
+            one = oscillator_poisson_kernel(EvaluationPoint(0.3, 0.1, xp), pa, cfg)
+            assert (kv.value, kv.error_estimate, kv.converged) == (
+                one.value, one.error_estimate, one.converged)
+
+    def test_empty_batch(self):
+        assert oscillator_poisson_kernel_batch(1.0, [], [], OscillatorParam(1.0)) == []
+
+    @pytest.mark.parametrize("targets, sources", [
+        ([0.0, 1.0], [0.0]),
+        ([0.0, math.nan], [0.0, 1.0]),
+        ([0.0], [math.inf]),
+        ([True], [0.0]),
+        ([0.0, 1.0], [0.0, False]),
+    ])
+    def test_invalid_pairs_raise(self, targets, sources):
+        with pytest.raises(ValueError):
+            oscillator_poisson_kernel_batch(1.0, targets, sources,
+                                            OscillatorParam(1.0))
+
+    def test_scale_applies_to_every_pair(self):
+        pa = OscillatorParam(1.0)
+        base = oscillator_poisson_kernel_batch(1.0, [0.3, 0.0], [-0.2, 0.8], pa)
+        scaled = oscillator_poisson_kernel_batch(1.0, [0.3, 0.0], [-0.2, 0.8], pa,
+                                                 prefactor_scale=math.sqrt(2.0))
+        for b, s in zip(base, scaled):
+            assert s.value == pytest.approx(math.sqrt(2.0) * b.value, rel=1e-15)
 
 
 class TestHalfplane:

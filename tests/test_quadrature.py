@@ -12,6 +12,7 @@ from poissonline.quadrature import (
     IntegrandEvaluationError,
     QuadratureConfig,
     integrate_semi_infinite,
+    integrate_semi_infinite_batch,
     subordination_base_residual,
     subordination_derived_residual,
 )
@@ -255,3 +256,81 @@ def test_tail_at_the_log_u_cap_is_not_extended_past_it():
     res = integrate_semi_infinite(slow, QuadratureConfig(max_refinement_depth=3))
     assert math.isfinite(res.value)
     assert not res.converged
+
+
+# -- k components in lockstep -------------------------------------------------
+
+_ONE_ROW = {"exp_decay": exp_decay, "gamma_half": gamma_half, "signed": signed,
+            "narrow_bump": narrow_bump}
+
+
+def _rows_of(integrands):
+    """A batched integrand whose component j is integrands[j]."""
+    def batch(u, rows):
+        out = [integrands[r](line) for r, line in zip(rows.tolist(), u)]
+        sign = [np.broadcast_to(s, line.shape) for (s, _), line in zip(out, u)]
+        logmag = [np.broadcast_to(g, line.shape) for (_, g), line in zip(out, u)]
+        return np.array(sign), np.array(logmag)
+    return batch
+
+
+def test_batch_of_copies_costs_the_integrand_calls_of_one():
+    # the components share every integrand call: a per-component loop
+    # would make 64 times as many
+    shapes = []
+
+    def batch(u, rows):
+        shapes.append(u.shape)
+        return np.ones_like(u), -0.5 * np.log(u) - u
+
+    (one,) = integrate_semi_infinite_batch(batch, 1)
+    calls_for_one = len(shapes)
+    shapes.clear()
+    many = integrate_semi_infinite_batch(batch, 64)
+    assert len(shapes) == calls_for_one
+    assert min(rows for rows, _ in shapes) >= 64     # every call serves all 64
+    assert many == [one] * 64
+
+
+def test_each_component_is_its_own_scalar_integral():
+    # different centres, tails, supports and a vanishing component; each
+    # result is exactly what the component gives alone
+    def zero(u):
+        return np.zeros_like(u), np.full_like(u, -np.inf)
+
+    names = ["gamma_half", "narrow_bump", "signed", "exp_decay"]
+    integrands = [_ONE_ROW[n] for n in names] + [zero]
+    batch = integrate_semi_infinite_batch(_rows_of(integrands), len(integrands),
+                                          probe_hints=(6.0,))
+    for integrand, res in zip(integrands, batch):
+        assert res == integrate_semi_infinite(integrand, probe_hints=(6.0,))
+    assert batch[1].value == pytest.approx(NARROW_BUMP_MASS, rel=1e-12)
+    assert batch[-1] == batch[-1].__class__(0.0, 0.0, batch[-1].evaluations, True)
+
+
+def test_components_converge_and_stop_on_their_own():
+    # the tolerance is met at different depths: the slow component keeps
+    # refining while the fast one is frozen, and only the slow one may
+    # miss a small refinement budget
+    cfg = QuadratureConfig(rel_tol=1e-12, max_refinement_depth=2)
+    integrands = [exp_decay, _ONE_ROW["narrow_bump"]]
+    batch = integrate_semi_infinite_batch(_rows_of(integrands), 2, cfg,
+                                          probe_hints=(6.0,))
+    alone = [integrate_semi_infinite(f, cfg, probe_hints=(6.0,)) for f in integrands]
+    assert batch == alone
+    assert batch[0].evaluations != batch[1].evaluations
+
+
+def test_batch_of_none_and_invalid_k():
+    assert integrate_semi_infinite_batch(_rows_of([]), 0) == []
+    for k in (-1, 1.0, True):
+        with pytest.raises(ValueError):
+            integrate_semi_infinite_batch(_rows_of([exp_decay]), k)
+
+
+def test_non_finite_sample_in_one_component_is_reported():
+    def bad(u):
+        return np.ones_like(u), np.where(u > 3.0, np.nan, -u)
+
+    with pytest.raises(IntegrandEvaluationError, match="u="):
+        integrate_semi_infinite_batch(_rows_of([exp_decay, bad]), 2)
