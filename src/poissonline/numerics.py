@@ -2,6 +2,8 @@
 
 * Gauss-Legendre panels graded geometrically around a kernel peak
   (`graded_breakpoints`, `split_panels`, `leggauss`, `NODES_PER_PANEL`).
+* The Gauss-Kronrod 7/15 pair, a panel rule with its own error estimate
+  (`gauss_kronrod15`).
 * Orthonormal oscillator eigenfunctions by their normalized three-term
   recurrence (`hermite_all`, `hermite_function`).
 * A not-a-knot cubic interpolating spline in plain numpy
@@ -20,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "NODES_PER_PANEL",
+    "gauss_kronrod15",
     "graded_breakpoints",
     "hermite_all",
     "hermite_function",
@@ -33,10 +36,59 @@ NODES_PER_PANEL = 16
 
 _QUARTER_LOG_PI = 0.25 * math.log(math.pi)
 
+# QUADPACK qk15 (Piessens et al., 1983): the non-negative Kronrod nodes in
+# decreasing order, their Kronrod weights, and the Gauss weights of the
+# odd-index nodes 0.949..., 0.741..., 0.405..., 0.
+_GK15_NODES = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
+)
+_GK15_KRONROD = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_GK15_GAUSS = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+
 
 @lru_cache(maxsize=None)
 def leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=None)
+def gauss_kronrod15():
+    """The Gauss-Kronrod 7/15 rule on [-1, 1]: (nodes, kronrod, gauss).
+
+    `nodes` holds the 15 Kronrod nodes in decreasing order and `kronrod`
+    their weights, exact for polynomials up to degree 22; `gauss` holds
+    the weights of the embedded 7-point Gauss rule on the odd-index nodes
+    `nodes[1::2]`, exact up to degree 13.  The difference between the two
+    sums on a panel estimates the error of the coarser one.  The arrays
+    are shared and read-only.
+    """
+    nodes = np.array(_GK15_NODES + tuple(-x for x in _GK15_NODES[-2::-1]))
+    kronrod = np.array(_GK15_KRONROD + _GK15_KRONROD[-2::-1])
+    gauss = np.array(_GK15_GAUSS + _GK15_GAUSS[-2::-1])
+    for arr in (nodes, kronrod, gauss):
+        arr.flags.writeable = False
+    return nodes, kronrod, gauss
 
 
 def graded_breakpoints(lo: float, hi: float, center: float,

@@ -9,6 +9,7 @@ verification suites assert.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -177,6 +178,94 @@ def required_heat_order(t: float, a: float, tol: float) -> int:
     return hi
 
 
+class _MpTerms:
+    """Entries 0, 1, ... of a multiple-precision sequence, built on demand.
+
+    Every entry is computed once, at the sequence's own working precision,
+    so it is the same number whichever call first needed it.  Subclasses
+    define `_next(k)`, entry k from the entries before it.
+    """
+
+    __slots__ = ("dps", "values")
+
+    def __init__(self, dps: int, values: list):
+        self.dps = dps
+        self.values = values
+
+    def upto(self, n: int) -> list:
+        """The entries, extended in place to hold at least 0..n."""
+        if len(self.values) <= n:
+            import mpmath as mp
+
+            with mp.workdps(self.dps):
+                for k in range(len(self.values), n + 1):
+                    self.values.append(self._next(k))
+        return self.values
+
+
+class _RecurrenceCoefficients(_MpTerms):
+    """(sqrt(2/(k+1)), sqrt(k/(k+1))) of the eigenfunction recurrence, by k."""
+
+    __slots__ = ()
+
+    def __init__(self, dps: int):
+        super().__init__(dps, [])
+
+    def _next(self, k: int):
+        import mpmath as mp
+
+        return mp.sqrt(mp.mpf(2) / (k + 1)), mp.sqrt(mp.mpf(k) / (k + 1))
+
+
+class _EigenValues(_MpTerms):
+    """psi_k(sqrt(a) x), k = 0, 1, ..., by the normalized recurrence."""
+
+    __slots__ = ("z", "coefficients")
+
+    def __init__(self, x: float, a: float, dps: int):
+        import mpmath as mp
+
+        with mp.workdps(dps):
+            self.z = z = mp.sqrt(mp.mpf(a)) * mp.mpf(x)
+            p0 = mp.pi ** mp.mpf("-0.25") * mp.e ** (-z * z / 2)
+            super().__init__(dps, [p0, mp.sqrt(2) * z * p0])
+        self.coefficients = _recurrence_coefficients(dps)
+
+    def upto(self, n: int) -> list:
+        self.coefficients.upto(n - 1)
+        return super().upto(n)
+
+    def _next(self, k: int):
+        cma, cmb = self.coefficients.values[k - 1]
+        return cma * self.z * self.values[k - 1] - cmb * self.values[k - 2]
+
+
+class _HeatWeights(_MpTerms):
+    """e^{-(2k+1)at}, k = 0, 1, ..., each the previous one times e^{-2at}."""
+
+    __slots__ = ("ratio",)
+
+    def __init__(self, a: float, t: float, dps: int):
+        import mpmath as mp
+
+        with mp.workdps(dps):
+            am, tm = mp.mpf(a), mp.mpf(t)
+            self.ratio = mp.e ** (-2 * am * tm)
+            super().__init__(dps, [mp.e ** (-am * tm)])
+
+    def _next(self, k: int):
+        return self.values[k - 1] * self.ratio
+
+
+# Sized to the heat oracle's working set: it sweeps 5 points and 3 times
+# per frequency at one working precision.  A sum that needs more (another
+# precision, a sixth point) rebuilds what was evicted, and a long-lived
+# process never holds more than these many sequences.
+_recurrence_coefficients = functools.lru_cache(maxsize=2)(_RecurrenceCoefficients)
+_eigen_values = functools.lru_cache(maxsize=5)(_EigenValues)
+_heat_weights = functools.lru_cache(maxsize=3)(_HeatWeights)
+
+
 def _heat_sum_mp(t: float, x: float, xp: float, a: float, n_max: int) -> float:
     """Exact-arithmetic heat sum, safe against sign cancellation.
 
@@ -187,37 +276,29 @@ def _heat_sum_mp(t: float, x: float, xp: float, a: float, n_max: int) -> float:
     with the working precision doubled until the measured cancellation
     leaves at least 20 digits of headroom.  mpmath is imported here, on
     first use, so that importing the package does not load it.
+
+    The eigenfunction values at each point, the weights of each (a, t)
+    and the recurrence coefficients are kept per working precision in
+    bounded caches and extended as far as a sum needs, so a sweep over
+    many point pairs runs each recurrence once.
     """
     import mpmath as mp
 
     dps = 50
     while True:
         with mp.workdps(dps):
-            am, tm = mp.mpf(a), mp.mpf(t)
-            z1 = mp.sqrt(am) * mp.mpf(x)
-            z2 = mp.sqrt(am) * mp.mpf(xp)
-            c = mp.pi ** mp.mpf("-0.25")
-            p1_prev, p2_prev = c * mp.e ** (-z1 * z1 / 2), c * mp.e ** (-z2 * z2 / 2)
-            weight = mp.e ** (-am * tm)
-            ratio = mp.e ** (-2 * am * tm)
-            total = weight * p1_prev * p2_prev
+            weights = _heat_weights(a, t, dps).upto(n_max)
+            p1 = _eigen_values(x, a, dps).upto(n_max)
+            p2 = _eigen_values(xp, a, dps).upto(n_max)
+            total = weights[0] * p1[0] * p2[0]
             gross = abs(total)
-            if n_max >= 1:
-                p1, p2 = mp.sqrt(2) * z1 * p1_prev, mp.sqrt(2) * z2 * p2_prev
-                weight *= ratio
-                term = weight * p1 * p2
+            for k in range(1, n_max + 1):
+                term = weights[k] * p1[k] * p2[k]
                 total += term
                 gross += abs(term)
-                for k in range(1, n_max):
-                    cma, cmb = mp.sqrt(mp.mpf(2) / (k + 1)), mp.sqrt(mp.mpf(k) / (k + 1))
-                    p1, p1_prev = cma * z1 * p1 - cmb * p1_prev, p1
-                    p2, p2_prev = cma * z2 * p2 - cmb * p2_prev, p2
-                    weight *= ratio
-                    term = weight * p1 * p2
-                    total += term
-                    gross += abs(term)
-            total *= mp.sqrt(am)
-            gross *= mp.sqrt(am)
+            root = mp.sqrt(mp.mpf(a))
+            total *= root
+            gross *= root
             if total != 0 and gross / abs(total) < mp.mpf(10) ** (dps - 20):
                 return float(total)
             if total == 0:

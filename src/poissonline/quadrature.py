@@ -528,37 +528,36 @@ def _refine(trap: _Trapezoid, cfg: QuadratureConfig, results: list) -> None:
     unconverged.  Rows left after max_refinement_depth halvings are
     reported unconverged.
     """
-    with np.errstate(under="ignore"):     # exp(log F - peak) underflows
-        cutoff = cfg.decay_cutoff
-        h = _BASE_STEP
-        trap.grow(h, [(i, d) for i in range(len(trap.comp)) for d in (+1, -1)], cutoff)
-        values = trap.level_sums(h)
-        errors = [math.inf] * len(values)
-        for _depth in range(cfg.max_refinement_depth):
-            h *= 0.5
-            trap.halve(h)
-            hot = trap.hot_tails(cutoff)
-            if hot:
-                trap.grow(h, hot, cutoff)
-            rest = []
-            for i, (row, old, value, lo, hi) in enumerate(zip(
-                    trap.comp, values, trap.level_sums(h), trap.lo, trap.hi)):
-                err = abs(value - old)
-                converged = (math.isfinite(value)
-                             and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
-                if converged or hi - lo > _MAX_POINTS:
-                    results[row] = QuadratureResult(value, err, trap.counts[row],
-                                                    converged)
-                else:
-                    rest.append((i, value, err))
-            if not rest:
-                return
-            if len(rest) < len(values):
-                trap.keep([i for i, _, _ in rest])
-            values = [value for _, value, _ in rest]
-            errors = [err for _, _, err in rest]
-        for row, value, err in zip(trap.comp, values, errors):
-            results[row] = QuadratureResult(value, err, trap.counts[row], False)
+    cutoff = cfg.decay_cutoff
+    h = _BASE_STEP
+    trap.grow(h, [(i, d) for i in range(len(trap.comp)) for d in (+1, -1)], cutoff)
+    values = trap.level_sums(h)
+    errors = [math.inf] * len(values)
+    for _depth in range(cfg.max_refinement_depth):
+        h *= 0.5
+        trap.halve(h)
+        hot = trap.hot_tails(cutoff)
+        if hot:
+            trap.grow(h, hot, cutoff)
+        rest = []
+        for i, (row, old, value, lo, hi) in enumerate(zip(
+                trap.comp, values, trap.level_sums(h), trap.lo, trap.hi)):
+            err = abs(value - old)
+            converged = (math.isfinite(value)
+                         and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
+            if converged or hi - lo > _MAX_POINTS:
+                results[row] = QuadratureResult(value, err, trap.counts[row],
+                                                converged)
+            else:
+                rest.append((i, value, err))
+        if not rest:
+            return
+        if len(rest) < len(values):
+            trap.keep([i for i, _, _ in rest])
+        values = [value for _, value, _ in rest]
+        errors = [err for _, _, err in rest]
+    for row, value, err in zip(trap.comp, values, errors):
+        results[row] = QuadratureResult(value, err, trap.counts[row], False)
 
 
 def integrate_semi_infinite_batch(integrand: BatchIntegrand, k: int,
@@ -573,7 +572,9 @@ def integrate_semi_infinite_batch(integrand: BatchIntegrand, k: int,
         (len(rows), n) and row j holds abscissae of component rows[j], an
         index in range(k); a component may fill more than one row.  The
         contract on values is that of `integrate_semi_infinite`; a NaN or
-        +inf sample of any component raises IntegrandEvaluationError.
+        +inf sample of any component raises IntegrandEvaluationError.  It
+        is called under np.errstate(under="ignore", divide="ignore"), so
+        it may underflow and take log 0 without setting its own state.
     k : int
         Number of components.
     cfg : QuadratureConfig, optional
@@ -601,17 +602,20 @@ def integrate_semi_infinite_batch(integrand: BatchIntegrand, k: int,
         return []
     counts = [0] * k
     results = [None] * k
-    best = _find_centres(integrand, k, counts, probe_hints)
-    comp = []
-    for row, b in enumerate(best):
-        if b is None:
-            results[row] = QuadratureResult(0.0, 0.0, counts[row], True)
-        else:
-            comp.append(row)
-    if comp:
-        # the centre is u* = exp(best), and log u* is taken back from it
-        centre = [math.log(math.exp(best[row])) for row in comp]
-        _refine(_Trapezoid(integrand, comp, centre, counts), cfg, results)
+    # one error state for the whole quadrature: samples underflow in
+    # exp(log F - peak), and integrands take log 0 = -inf where f vanishes
+    with np.errstate(under="ignore", divide="ignore"):
+        best = _find_centres(integrand, k, counts, probe_hints)
+        comp = []
+        for row, b in enumerate(best):
+            if b is None:
+                results[row] = QuadratureResult(0.0, 0.0, counts[row], True)
+            else:
+                comp.append(row)
+        if comp:
+            # the centre is u* = exp(best), and log u* is taken back from it
+            centre = [math.log(math.exp(best[row])) for row in comp]
+            _refine(_Trapezoid(integrand, comp, centre, counts), cfg, results)
     return results
 
 

@@ -247,10 +247,12 @@ def _check_data(problem: str, data: InitialData) -> None:
 
 
 def _signed_log(values: np.ndarray):
-    sign = np.sign(values)
-    with np.errstate(divide="ignore"):
-        logmag = np.log(np.abs(values))
-    return sign, logmag
+    """(sign, log|values|), log 0 = -inf.
+
+    Called inside the quadrature, whose error state already ignores the
+    division by zero of log 0; a caller outside it sets its own.
+    """
+    return np.sign(values), np.log(np.abs(values))
 
 
 def _window_hints(lo: float, hi: float) -> tuple:
@@ -310,8 +312,7 @@ def solve_euler(data: InitialData, y: float, target: float, a: float,
     branch = 1.0 if target > 0 else -1.0
 
     def integrand(s):
-        with np.errstate(under="ignore"):
-            xip = branch * np.exp(-2.0 * a * (X + s))
+        xip = branch * np.exp(-2.0 * a * (X + s))
         d = np.asarray(data(xip, a=a), dtype=float)
         sign, logmag = _signed_log(d)
         return sign, logmag + _log_stable_half_density(y, s)
@@ -358,12 +359,10 @@ def _heat_flow_integrand(y: float, target: float, a: float, xs: np.ndarray,
             terms += log_wd
             peak = terms.max(axis=1)
             terms -= peak[:, None]
-            with np.errstate(under="ignore"):
-                np.exp(terms, out=terms)
+            np.exp(terms, out=terms)
             top[i:i + rows] = peak
             total[i:i + rows] = terms @ sign_wd
-        with np.errstate(divide="ignore"):
-            logmag = top + np.log(np.abs(total))
+        logmag = top + np.log(np.abs(total))
         return np.sign(total), logmag + _log_stable_half_density(y, u)
 
     return integrand
@@ -382,7 +381,8 @@ def _subordinate(y: float, target: float, a: float, xs: np.ndarray,
     """
     if xs.size == 0:
         return 0.0, 0.0, True
-    sign_wd, log_wd = _signed_log(wd)
+    with np.errstate(divide="ignore"):
+        sign_wd, log_wd = _signed_log(wd)
     mag = integrate_semi_infinite(
         _heat_flow_integrand(y, target, a, xs, np.ones_like(wd), log_wd), cfg)
     scale = mag.value

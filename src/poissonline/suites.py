@@ -47,6 +47,7 @@ from .oracles import (
 )
 from .numerics import (
     NODES_PER_PANEL,
+    gauss_kronrod15,
     graded_breakpoints,
     hermite_all,
     hermite_function,
@@ -81,6 +82,7 @@ REFERENCE_OSCILLATOR_POISSON_ORIGIN = 0.25955327199433076
 
 _SQRT2 = math.sqrt(2.0)
 _GRAM_PANELS = 32          # Gauss-Legendre panels of the Gram check
+_CK_RUNGS = 4              # panel splittings of the oscillator semigroup oracle
 
 
 def _fmt(v: float) -> str:
@@ -358,12 +360,14 @@ def _oscillator_ck_gap(a: float, y1: float, y2: float, x: float, xp: float,
                        cfg: QuadratureConfig, scale: float) -> float:
     """Relative Chapman-Kolmogorov defect of the oscillator kernel.
 
-    The z-integral uses Gauss-Legendre panels graded around both kernel
-    peaks (z = x and z = x'), with panel doubling until the ladder
-    difference drops under the accumulated kernel error.  Each rung takes
-    its factors from two batched kernel calls, P(y1, x, z_i) and
-    P(y2, z_i, x') over the rung's nodes z_i; every batched value is the
-    one the single-pair kernel returns.
+    The z-integral uses Gauss-Kronrod 7/15 panels graded around both
+    kernel peaks (z = x and z = x').  The K15 sum is the value; it is
+    taken at the first rung where it differs from the embedded G7 sum by
+    at most the accumulated kernel error, else every panel is split in
+    two, for at most _CK_RUNGS rungs.  Each rung takes its factors from
+    two batched kernel calls, P(y1, x, z_i) and P(y2, z_i, x') over the
+    rung's nodes z_i; every batched value is the one the single-pair
+    kernel returns.
     """
     pa = OscillatorParam(a)
     reach = max(abs(x), abs(xp)) + 7.0 / math.sqrt(a)
@@ -371,29 +375,27 @@ def _oscillator_ck_gap(a: float, y1: float, y2: float, x: float, xp: float,
         graded_breakpoints(-reach, reach, x, 0.5 * y1),
         graded_breakpoints(-reach, reach, xp, 0.5 * y2),
     ]))
-    nodes, weights = leggauss(NODES_PER_PANEL)
+    nodes, kronrod, gauss = gauss_kronrod15()
 
-    previous = None
-    value = kerr = 0.0
-    for rung in range(4):
-        zs, ws = [], []
-        grid = split_panels(bps, 2 ** rung).tolist()
-        for p0, p1 in zip(grid[:-1], grid[1:]):
-            mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-            zs.extend((mid + half * nodes).tolist())
-            ws.extend(wn * half for wn in weights.tolist())
+    for rung in range(_CK_RUNGS):
+        grid = split_panels(bps, 2 ** rung)
+        half = 0.5 * np.diff(grid)
+        zs = (0.5 * (grid[1:] + grid[:-1])[:, None]
+              + half[:, None] * nodes).ravel().tolist()
         k1 = oscillator_poisson_kernel_batch(y1, [x] * len(zs), zs, pa, cfg,
                                              prefactor_scale=scale)
         k2 = oscillator_poisson_kernel_batch(y2, zs, [xp] * len(zs), pa, cfg,
                                              prefactor_scale=scale)
-        value = kerr = 0.0
-        for w, f, g in zip(ws, k1, k2):
-            value += w * f.value * g.value
-            kerr += abs(w) * (abs(f.value) * g.error_estimate
-                              + abs(g.value) * f.error_estimate)
-        if previous is not None and abs(value - previous) <= 1e-9 + kerr:
+        f, f_err = np.array([(kv.value, kv.error_estimate) for kv in k1]).T
+        g, g_err = np.array([(kv.value, kv.error_estimate) for kv in k2]).T
+        shape = (half.size, nodes.size)
+        fg = (f * g).reshape(shape)
+        value = float(half @ (fg @ kronrod))
+        coarse = float(half @ (fg[:, 1::2] @ gauss))
+        kerr = float(half @ ((np.abs(f) * g_err + np.abs(g) * f_err).reshape(shape)
+                             @ kronrod))
+        if abs(value - coarse) <= 1e-9 + kerr:
             break
-        previous = value
     direct = oscillator_poisson_kernel(EvaluationPoint(y1 + y2, x, xp), pa,
                                        cfg, prefactor_scale=scale).value
     return abs(value - direct) / direct

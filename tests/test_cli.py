@@ -338,10 +338,10 @@ class TestOutputPlumbing:
         assert exc.value.code == 2
 
 
-def test_module_entry_point():
+def test_module_entry_point(package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "poissonline", "kernel", "--kernel",
          "halfplane", "--y", "1", "--target", "0", "--source", "0"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=package_env)
     assert proc.returncode == 0
     assert "0.31830988618379069" in proc.stdout

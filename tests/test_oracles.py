@@ -1,6 +1,7 @@
 """Spectral, stencil, and limit oracles against closed forms."""
 
 import math
+import random
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from poissonline.kernels import (
     mehler_heat_kernel,
     oscillator_poisson_kernel,
 )
+import poissonline.oracles as oracles
 from poissonline.oracles import (
     InsufficientOrderError,
     InvalidStencilError,
@@ -36,7 +38,9 @@ from poissonline.oracles import (
     spectral_heat_kernel,
     spectral_poisson_kernel,
 )
+from poissonline.quadrature import QuadratureConfig
 from poissonline.solvers import InitialData
+from poissonline.suites import check_heat_oracle
 
 PI_QUARTER = math.pi ** -0.25
 
@@ -113,6 +117,90 @@ class TestSpectralHeat:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             spectral_heat_kernel(0.0, 0.0, 0.0, SpectralConfig(50, 1.0))
+
+
+_HEAT_CACHES = (oracles._eigen_values, oracles._heat_weights,
+                oracles._recurrence_coefficients)
+
+
+def _clear_heat_caches():
+    for cache in _HEAT_CACHES:
+        cache.cache_clear()
+
+
+def _direct_heat_sum(t, x, xp, a, n_max, dps):
+    """The truncated heat eigen-sum, written out at a fixed precision."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        am, tm = mp.mpf(a), mp.mpf(t)
+        z1, z2 = mp.sqrt(am) * mp.mpf(x), mp.sqrt(am) * mp.mpf(xp)
+        c = mp.pi ** mp.mpf("-0.25")
+        p1, p2 = c * mp.exp(-z1 * z1 / 2), c * mp.exp(-z2 * z2 / 2)
+        q1 = q2 = total = mp.mpf(0)
+        for k in range(n_max + 1):
+            total += mp.exp(-(2 * k + 1) * am * tm) * p1 * p2
+            cma, cmb = mp.sqrt(mp.mpf(2) / (k + 1)), mp.sqrt(mp.mpf(k) / (k + 1))
+            p1, q1 = cma * z1 * p1 - cmb * q1, p1
+            p2, q2 = cma * z2 * p2 - cmb * q2, p2
+        return total * mp.sqrt(am)
+
+
+class TestHeatSumCaches:
+    # (t, x, x', a, n_max): shared points and times, orders that grow and
+    # shrink, and a pair that needs the 100-digit pass
+    CASES = [(0.1, -2.0, 2.0, 2.0, 420), (0.5, -2.0, 1.0, 2.0, 60),
+             (0.1, 1.0, -0.5, 2.0, 200), (0.1, 1.0, 1.0, 2.0, 30),
+             (0.5, 0.0, -2.0, 0.5, 150), (1.0, -0.5, 0.0, 0.5, 90),
+             (0.05, -2.0, 2.0, 1.0, 1061), (0.5, -2.0, 2.0, 1.0, 40)]
+
+    def test_bit_identical_cold_and_warm_in_any_order(self):
+        cold = []
+        for case in self.CASES:
+            _clear_heat_caches()
+            cold.append(oracles._heat_sum_mp(*case))
+        rng = random.Random(11)
+        for _ in range(3):
+            _clear_heat_caches()
+            order = list(range(len(self.CASES)))
+            rng.shuffle(order)
+            for i in order + order[::-1]:
+                assert oracles._heat_sum_mp(*self.CASES[i]) == cold[i]
+
+    @pytest.mark.parametrize("x,frozen", [(2.0, 2.1283428115369014e-35),
+                                          (2.5, 5.8682224147007845e-55)])
+    def test_cancelling_sum_against_a_200_digit_reference(self, x, frozen):
+        # the terms cancel by 35 and 55 digits, so 50 digits leave too
+        # little headroom and the sum is redone at 100; the 50-digit
+        # sequences of the same points are cached by then, and a cache that
+        # handed them to the 100-digit pass would miss both values
+        t, a = 0.05, 1.0
+        tol = 0.25 * 1e-10 * mehler_heat_kernel(t, -x, x, OscillatorParam(a)).value
+        n = required_heat_order(t, a, tol)
+        _clear_heat_caches()
+        ours = spectral_heat_kernel(t, -x, x, SpectralConfig(n, a), tol=tol)
+        assert ours == float(_direct_heat_sum(t, -x, x, a, n, 200))
+        assert ours == frozen
+        assert oracles._recurrence_coefficients.cache_info().misses == 2
+
+    def test_caches_stay_within_their_bound(self):
+        _clear_heat_caches()
+        for i in range(1000):
+            x = -3.0 + 0.006 * i
+            oracles._heat_sum_mp(0.5 + 0.001 * i, x, -x, 1.0 + 0.002 * i, 12)
+        for cache in _HEAT_CACHES:
+            info = cache.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
+
+    def test_gate_check_builds_one_recurrence_per_point(self):
+        # 3 frequencies x 5 points, where each of the 225 sums used to
+        # build both of its recurrences
+        _clear_heat_caches()
+        reports = check_heat_oracle(QuadratureConfig(), 1.0)
+        assert len(reports) == 9 and all(r.passed for r in reports)
+        assert oracles._eigen_values.cache_info().misses == 15
+        assert oracles._heat_weights.cache_info().misses == 9
 
 
 class TestSpectralPoisson:
@@ -266,12 +354,12 @@ class TestReports:
             SpectralConfig(10, -1.0)
 
 
-def test_import_does_not_load_mpmath():
+def test_import_does_not_load_mpmath(package_env):
     # mpmath is needed only by the spectral heat oracle and is loaded there
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, poissonline, poissonline.cli; "
          "print('mpmath' in sys.modules)"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -7,7 +7,13 @@ import pytest
 from scipy.integrate import quad
 
 import poissonline.solvers as solvers
-from poissonline.kernels import DegenerateCharacteristicError, EvaluationPoint, dirac_kernel
+from poissonline.kernels import (
+    DegenerateCharacteristicError,
+    EvaluationPoint,
+    OscillatorParam,
+    dirac_kernel,
+    oscillator_poisson_kernel,
+)
 from poissonline.oracles import hermite_function
 from poissonline.quadrature import (
     IntegrandEvaluationError,
@@ -317,3 +323,29 @@ class TestSolveGrid:
             "NonConvergenceError: synthetic non-convergence")
         assert grid.converged[0, 0] and grid.converged[0, 2]
         assert grid.failures[0, 0] == grid.failures[0, 2] == ""
+
+
+_RAISING_CASES = {
+    "oscillator-kernel": lambda: oscillator_poisson_kernel(
+        EvaluationPoint(0.7, 0.4, -1.1), OscillatorParam(1.3)),
+    "dirac-bump": lambda: solve_dirac(InitialData.bump(0.5, 0.8), 0.4, -0.2),
+    "dirac-gaussian": lambda: solve_dirac(InitialData.gaussian(0.3, 0.6), 0.9, 0.1),
+    "euler-bump": lambda: solve_euler(InitialData.bump(1.4, 0.3), 0.5, 1.8, 1.0),
+    "euler-gaussian": lambda: solve_euler(InitialData.gaussian(1.5, 0.4), 0.3, 2.2, 0.7),
+    "oscillator-gaussian": lambda: solve_oscillator(
+        InitialData.gaussian(0.0, 1.0), 0.5, 0.3, 1.0),
+    # zero datum weights outside the bump: log 0 before the u-quadrature
+    "oscillator-bump": lambda: solve_oscillator(
+        InitialData.bump(0.2, 0.5), 0.4, -0.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RAISING_CASES))
+def test_same_result_under_a_raising_numpy_error_state(case):
+    # the quadrature sets its own numpy error state; a caller that turns
+    # every floating-point warning into an error gets the same result
+    expected = _RAISING_CASES[case]()
+    with np.errstate(all="raise"):
+        got = _RAISING_CASES[case]()
+    assert ((got.value, got.error_estimate, got.converged)
+            == (expected.value, expected.error_estimate, expected.converged))

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonline.kernels import EvaluationPoint, OscillatorParam, euler_kernel
-from poissonline.suites import _euler_log_kernel, run_suite
+import poissonline.suites as suites
+from poissonline.quadrature import QuadratureConfig
+from poissonline.suites import _euler_log_kernel, _oscillator_ck_gap, run_suite
 
 
 @settings(max_examples=50, deadline=None)
@@ -36,3 +38,22 @@ def test_sqrt2_prefactor_fails_both_oscillator_semigroup_records():
     for r in reports:
         assert not r.passed
         assert r.measured == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("case", [(1.0, 0.5, 0.5, 0.3, -0.2),
+                                  (1.0, 1.0, 0.6, 0.0, 0.8)])
+def test_gate_oscillator_semigroup_gaps_stop_at_the_first_rung(case, monkeypatch):
+    # cost guard: on both gate cases the K15 and G7 sums of the first rung
+    # agree within the kernel error, so each batch covers that rung's
+    # 18 panels x 15 nodes once; a second rung would add 1080 evaluations
+    batch = suites.oscillator_poisson_kernel_batch
+    pairs = []
+
+    def counting(y, targets, sources, *args, **kwargs):
+        pairs.append(len(targets))
+        return batch(y, targets, sources, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "oscillator_poisson_kernel_batch", counting)
+    gap = _oscillator_ck_gap(*case, QuadratureConfig(), 1.0)
+    assert pairs == [270, 270]
+    assert gap <= 1e-12
