@@ -2,10 +2,18 @@
 
 Each solver evaluates u(y, .) = integral kernel(y, ., source) * data(source)
 for one of the three operators.  The transport and scaling problems reduce
-to a single semi-infinite integral in the gap variable and reuse the
-adaptive log-axis quadrature directly; the scaling problem is first moved
-to the logarithmic coordinate X = log|xi| / (-2a), where its kernel is
-exactly the transport kernel and the integration measure is uniform.  The
+to a single integral in the gap variable against the stable-1/2 density;
+the scaling problem is first moved to the logarithmic coordinate
+X = log|xi| / (-2a), where its kernel is exactly the transport kernel and
+the integration measure is uniform.  Only the gap window where the datum's
+support lies is integrated: a finite window (lo, hi) is mapped onto
+(0, inf) by s = lo + (hi - lo) v / (1 + v) and handed to the adaptive
+log-axis quadrature, so that each support edge, where a bump decays like
+exp(-c / (s - lo)), becomes an end of the log axis and decays
+double-exponentially there (the endpoint idea of Takahasi and Mori's
+double-exponential formulas).  A scaling window that reaches the invariant
+line xi' = 0 is open, and there the datum's value d0 = data(0) is taken
+out of the quadrature and its closed-form mass added back.  The
 oscillator problem is solved datum-first: the Mehler heat flow of the
 datum, a Gauss-Legendre sum over panels graded around x' = x, is
 subordinated by one semi-infinite u-quadrature per panel rung, rather than
@@ -255,38 +263,90 @@ def _signed_log(values: np.ndarray):
     return np.sign(values), np.log(np.abs(values))
 
 
-def _window_hints(lo: float, hi: float) -> tuple:
-    """Interior quarter points of a window, for the quadrature peak scan."""
-    if not (hi > lo):
-        return ()
-    return tuple(lo + f * (hi - lo) for f in (0.25, 0.5, 0.75))
+def _on_window(integrand, lo: float, hi: float):
+    """The gap integrand over the window (lo, hi) as an integrand over v > 0.
+
+    A finite window is mapped by s = lo + L v / (1 + v), L = hi - lo,
+    computed as hi - L / (1 + v) for v >= 1 so that the upper edge keeps
+    its precision, and log ds/dv = log L - 2 log(1 + v) joins the
+    log-magnitude.  An open window (lo, inf) is shifted, s = lo + v, which
+    for lo = 0 is the identity.  Either way each end of the window is an
+    end of the quadrature's log axis.
+    """
+    if hi == math.inf:
+        return integrand if lo == 0.0 else (lambda v: integrand(lo + v))
+    width = hi - lo
+    log_width = math.log(width)
+
+    def mapped(v):
+        t = 1.0 + v
+        s = np.where(v < 1.0, lo + width * v / t, hi - width / t)
+        sign, logmag = integrand(s)
+        return sign, logmag + (log_width - 2.0 * np.log1p(v))
+
+    return mapped
+
+
+def _gap_integral(datum_at: Callable, y: float, lo: float, hi: float,
+                  cfg: QuadratureConfig, d0: float = 0.0) -> SolveResult:
+    """integral_lo^hi p_y(s) datum_at(s) ds, p_y the stable-1/2 density.
+
+    An empty window, hi <= lo, gives (0, 0, converged) without sampling.
+    With d0 != 0 (an open window, hi = inf, along which the datum tends to
+    d0) the quadrature runs on datum_at(s) - d0, which decays as s grows
+    where the datum alone would leave the density's slow s^{-3/2} tail,
+    and the closed form d0 integral_lo^inf p_y = d0 erf(y / (2 sqrt(lo)))
+    is added.  The two parts can cancel, so a converged result must also
+    meet the tolerance against the returned value; where it does not, the
+    quadrature is run once more with rel_tol scaled down by the
+    cancellation factor, and a result that still misses it is reported
+    unconverged.
+    """
+    if not hi > lo:
+        return SolveResult(0.0, 0.0, True)
+
+    def integrand(s):
+        sign, logmag = _signed_log(np.asarray(datum_at(s), dtype=float) - d0)
+        return sign, logmag + _log_stable_half_density(y, s)
+
+    offset = d0 * (math.erf(y / (2.0 * math.sqrt(lo))) if lo > 0.0 else 1.0)
+    mapped = _on_window(integrand, lo, hi)
+    res = integrate_semi_infinite(mapped, cfg)
+    value = res.value + offset
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    if res.converged and res.error_estimate > tol:
+        scaled = cfg.rel_tol * abs(value / res.value)
+        if scaled > 0.0:
+            res = integrate_semi_infinite(mapped, replace(cfg, rel_tol=scaled))
+            value = res.value + offset
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    return SolveResult(value, res.error_estimate,
+                       res.converged and res.error_estimate <= tol)
 
 
 def solve_dirac(data: InitialData, y: float, target: float,
                 cfg: QuadratureConfig | None = None) -> SolveResult:
     """Transport-problem solution u(y, X) = integral_X^inf P * data.
 
-    The integral runs over the gap s = X' - X in (0, inf), where the
-    kernel is the one-sided stable-1/2 density; the adaptive log-axis
-    quadrature resolves its y^2-narrow onset without special casing.
+    The integral runs over the gap s = X' - X, where the kernel is the
+    one-sided stable-1/2 density, and only over the gap window where the
+    datum's support lies, (max(lo - X, 0), hi - X); an empty window gives
+    (0, 0, converged).  The window is mapped onto (0, inf) (`_on_window`),
+    so that a support edge, where a bump decays like exp(-c / (s - lo)),
+    is an end of the log axis and decays there double-exponentially, as
+    the density's y^2-narrow onset at s = 0 already does.  A datum
+    without support is integrated over (0, inf) as it is.
     """
     _check_data("dirac", data)
     y = _positive(y, "y")
     target = _finite(target, "target")
     if cfg is None:
         cfg = QuadratureConfig()
-
-    def integrand(s):
-        d = np.asarray(data(target + s), dtype=float)
-        sign, logmag = _signed_log(d)
-        return sign, logmag + _log_stable_half_density(y, s)
-
-    hints = ()
+    lo, hi = 0.0, math.inf
     support = data.effective_support()
     if support is not None:
-        hints = _window_hints(max(support[0] - target, 0.0), support[1] - target)
-    res = integrate_semi_infinite(integrand, cfg, probe_hints=hints)
-    return SolveResult(res.value, res.error_estimate, res.converged)
+        lo, hi = max(support[0] - target, 0.0), support[1] - target
+    return _gap_integral(lambda s: data(target + s), y, lo, hi, cfg)
 
 
 def solve_euler(data: InitialData, y: float, target: float, a: float,
@@ -295,8 +355,14 @@ def solve_euler(data: InitialData, y: float, target: float, a: float,
 
     Substituting X = log|xi| / (-2a) turns the problem into the transport
     one: the solution is the transport integral of the datum evaluated
-    along xi' = sign(xi) exp(-2a (X + s)).  Points with xi = 0 lie on the
-    invariant line and raise DegenerateCharacteristicError.
+    along xi' = sign(xi) exp(-2a (X + s)).  Only the datum's support on the
+    branch segment 0 < |xi'| < |xi| is integrated, as the gap window
+    s = log(|xi| / |xi'|) / (2a), mapped as in `solve_dirac`.  A window
+    that reaches the invariant line xi' = 0 is open, hi = inf, and there
+    the datum tends to d0 = data(0): the quadrature integrates
+    data - d0, and d0 times the closed-form mass of the window is added
+    (`_gap_integral`).  Points with xi = 0 lie on the invariant line and
+    raise DegenerateCharacteristicError.
     """
     _check_data("euler", data)
     y = _positive(y, "y")
@@ -308,30 +374,27 @@ def solve_euler(data: InitialData, y: float, target: float, a: float,
         )
     if cfg is None:
         cfg = QuadratureConfig()
-    X = math.log(abs(target)) / (-2.0 * a)
+    r = abs(target)
+    X = math.log(r) / (-2.0 * a)
     branch = 1.0 if target > 0 else -1.0
-
-    def integrand(s):
-        xip = branch * np.exp(-2.0 * a * (X + s))
-        d = np.asarray(data(xip, a=a), dtype=float)
-        sign, logmag = _signed_log(d)
-        return sign, logmag + _log_stable_half_density(y, s)
-
-    hints = ()
+    lo, hi, d0 = 0.0, math.inf, 0.0
     support = data.effective_support(a=a)
     if support is not None:
-        # intersect the datum support with the branch segment 0 < |xi'| < |xi|,
-        # then map to the gap coordinate s = log(|xi| / |xi'|) / (2a)
-        if branch > 0:
-            w_lo, w_hi = max(support[0], 0.0), min(support[1], abs(target))
+        # the support's magnitudes |xi'| on xi's branch, within (0, |xi|)
+        m_lo, m_hi = support if branch > 0 else (-support[1], -support[0])
+        m_lo, m_hi = max(m_lo, 0.0), min(m_hi, r)
+        if not m_hi > m_lo:
+            return SolveResult(0.0, 0.0, True)
+        lo = math.log(r / m_hi) / (2.0 * a)
+        if m_lo > 0.0:
+            hi = math.log(r / m_lo) / (2.0 * a)
         else:
-            w_lo, w_hi = max(support[0], target), min(support[1], 0.0)
-        hints = tuple(
-            math.log(abs(target) / abs(q)) / (2.0 * a)
-            for q in _window_hints(w_lo, w_hi) if q != 0.0
-        )
-    res = integrate_semi_infinite(integrand, cfg, probe_hints=hints)
-    return SolveResult(res.value, res.error_estimate, res.converged)
+            d0 = float(data(0.0, a=a))
+
+    def datum_at(s):
+        return data(branch * np.exp(-2.0 * a * (X + s)), a=a)
+
+    return _gap_integral(datum_at, y, lo, hi, cfg, d0)
 
 
 _MAX_PANEL_DOUBLINGS = 6
