@@ -5,15 +5,19 @@ for one of the three operators.  The transport and scaling problems reduce
 to a single integral in the gap variable against the stable-1/2 density;
 the scaling problem is first moved to the logarithmic coordinate
 X = log|xi| / (-2a), where its kernel is exactly the transport kernel and
-the integration measure is uniform.  Only the gap window where the datum's
-support lies is integrated: a finite window (lo, hi) is mapped onto
+the integration measure is uniform.  A datum that is exactly zero
+outside its support (bump, sampled) is integrated only over the gap
+window where that support lies: a finite window (lo, hi) is mapped onto
 (0, inf) by s = lo + (hi - lo) v / (1 + v) and handed to the adaptive
 log-axis quadrature, so that each support edge, where a bump decays like
 exp(-c / (s - lo)), becomes an end of the log axis and decays
 double-exponentially there (the endpoint idea of Takahasi and Mori's
-double-exponential formulas).  A scaling window that reaches the invariant
-line xi' = 0 is open, and there the datum's value d0 = data(0) is taken
-out of the quadrature and its closed-form mass added back.  The
+double-exponential formulas).  Every other datum is integrated over the
+whole gap axis; a gaussian's 10-sigma support is not a cut, since its
+tail beyond it is the whole of u at targets past it.  A scaling window
+that reaches the invariant line xi' = 0 is open, and there the value
+d0 = data(0) of a datum with a support is taken out of the quadrature
+and its closed-form mass added back.  The
 oscillator problem is solved datum-first: the Mehler heat flow of the
 datum, a Gauss-Legendre sum over panels graded around x' = x, is
 subordinated by one semi-infinite u-quadrature per panel rung, rather than
@@ -75,6 +79,11 @@ _ALLOWED = {
     "euler": {"gaussian", "bump", "exponential", "power", "sampled"},
     "oscillator": {"gaussian", "bump", "eigenfunction", "sampled"},
 }
+
+# Presets that vanish identically outside their effective support.  The
+# gaussian's and the eigenfunction's supports are cuts beyond which the
+# datum is small, not zero.
+_COMPACT = {"bump", "sampled"}
 
 
 class InvalidDataError(ValueError):
@@ -229,6 +238,10 @@ class InitialData:
         """(lo, hi) outside which the datum is negligible, or None."""
         return self._support_fn(a=a)
 
+    def exact_support(self, a: float | None = None):
+        """(lo, hi) outside which the datum is exactly zero, or None."""
+        return self._support_fn(a=a) if self.kind in _COMPACT else None
+
     def describe(self) -> str:
         params = ",".join(format(p, ".12g") if isinstance(p, float) else str(p)
                           for p in self.params)
@@ -329,13 +342,14 @@ def solve_dirac(data: InitialData, y: float, target: float,
     """Transport-problem solution u(y, X) = integral_X^inf P * data.
 
     The integral runs over the gap s = X' - X, where the kernel is the
-    one-sided stable-1/2 density, and only over the gap window where the
-    datum's support lies, (max(lo - X, 0), hi - X); an empty window gives
+    one-sided stable-1/2 density.  A datum that is exactly zero outside
+    its support (lo, hi) (`InitialData.exact_support`) is integrated only
+    over its gap window, (max(lo - X, 0), hi - X); an empty window gives
     (0, 0, converged).  The window is mapped onto (0, inf) (`_on_window`),
     so that a support edge, where a bump decays like exp(-c / (s - lo)),
     is an end of the log axis and decays there double-exponentially, as
-    the density's y^2-narrow onset at s = 0 already does.  A datum
-    without support is integrated over (0, inf) as it is.
+    the density's y^2-narrow onset at s = 0 already does.  Any other
+    datum, the gaussian included, is integrated over (0, inf) as it is.
     """
     _check_data("dirac", data)
     y = _positive(y, "y")
@@ -343,7 +357,7 @@ def solve_dirac(data: InitialData, y: float, target: float,
     if cfg is None:
         cfg = QuadratureConfig()
     lo, hi = 0.0, math.inf
-    support = data.effective_support()
+    support = data.exact_support()
     if support is not None:
         lo, hi = max(support[0] - target, 0.0), support[1] - target
     return _gap_integral(lambda s: data(target + s), y, lo, hi, cfg)
@@ -355,14 +369,17 @@ def solve_euler(data: InitialData, y: float, target: float, a: float,
 
     Substituting X = log|xi| / (-2a) turns the problem into the transport
     one: the solution is the transport integral of the datum evaluated
-    along xi' = sign(xi) exp(-2a (X + s)).  Only the datum's support on the
-    branch segment 0 < |xi'| < |xi| is integrated, as the gap window
-    s = log(|xi| / |xi'|) / (2a), mapped as in `solve_dirac`.  A window
+    along xi' = sign(xi) exp(-2a (X + s)).  Of a datum that is exactly
+    zero outside its support, only the support on the branch segment
+    0 < |xi'| < |xi| is integrated, as the gap window
+    s = log(|xi| / |xi'|) / (2a), mapped as in `solve_dirac`; any other
+    datum is integrated over the whole segment, s in (0, inf).  A window
     that reaches the invariant line xi' = 0 is open, hi = inf, and there
-    the datum tends to d0 = data(0): the quadrature integrates
-    data - d0, and d0 times the closed-form mass of the window is added
-    (`_gap_integral`).  Points with xi = 0 lie on the invariant line and
-    raise DegenerateCharacteristicError.
+    the datum tends to d0 = data(0): for a datum with a support (bump,
+    sampled, gaussian) the quadrature integrates data - d0, and d0 times
+    the closed-form mass of the window is added (`_gap_integral`).
+    Points with xi = 0 lie on the invariant line and raise
+    DegenerateCharacteristicError.
     """
     _check_data("euler", data)
     y = _positive(y, "y")
@@ -378,7 +395,7 @@ def solve_euler(data: InitialData, y: float, target: float, a: float,
     X = math.log(r) / (-2.0 * a)
     branch = 1.0 if target > 0 else -1.0
     lo, hi, d0 = 0.0, math.inf, 0.0
-    support = data.effective_support(a=a)
+    support = data.exact_support(a=a)
     if support is not None:
         # the support's magnitudes |xi'| on xi's branch, within (0, |xi|)
         m_lo, m_hi = support if branch > 0 else (-support[1], -support[0])
@@ -388,8 +405,8 @@ def solve_euler(data: InitialData, y: float, target: float, a: float,
         lo = math.log(r / m_hi) / (2.0 * a)
         if m_lo > 0.0:
             hi = math.log(r / m_lo) / (2.0 * a)
-        else:
-            d0 = float(data(0.0, a=a))
+    if hi == math.inf and data.effective_support(a=a) is not None:
+        d0 = float(data(0.0, a=a))
 
     def datum_at(s):
         return data(branch * np.exp(-2.0 * a * (X + s)), a=a)

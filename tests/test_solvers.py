@@ -1,7 +1,6 @@
 """Solution operators against closed forms and an independent integrator."""
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -238,29 +237,77 @@ class TestGapWindow:
         assert res.converged
         assert res.value == pytest.approx(ref, rel=1e-9)
 
+    # over the whole gap axis the edge-jump solves drew 2.5-3.1M datum
+    # samples, as the O(h) trapezoid ran into the grid-size valve
     def test_edge_jump_dirac(self):
         y, X = 0.8, -1.0
         edges = [0.0] + [float(k - X) for k in _EDGE_GRID if k > X]
-        start = time.perf_counter()
-        res = solve_dirac(_EDGE_DATA, y, X)
-        elapsed = time.perf_counter() - start
+        counted, drawn = _counted(_EDGE_DATA)
+        res = solve_dirac(counted, y, X)
         ref = _gap_reference(lambda s: _EDGE_DATA(X + s), y, edges)
         assert res.converged
-        assert elapsed < 0.1
+        assert drawn[0] <= 20_000
         assert res.value == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize("xi,a", [(4.0, 1.0), (-5.0, 0.7)])
     def test_edge_jump_euler(self, xi, a):
         y = 0.8
-        start = time.perf_counter()
-        res = solve_euler(_EDGE_DATA, y, xi, a)
-        elapsed = time.perf_counter() - start
+        counted, drawn = _counted(_EDGE_DATA)
+        res = solve_euler(counted, y, xi, a)
         ref = _gap_reference(
             lambda s: _EDGE_DATA(xi * math.exp(-2.0 * a * s)), y,
             _euler_gap_edges(_EDGE_GRID, xi, a))
         assert res.converged
-        assert elapsed < 0.1
+        assert drawn[0] <= 20_000
         assert res.value == pytest.approx(ref, rel=1e-8)
+
+    # A gaussian is small, not zero, beyond its 10-sigma effective support,
+    # so it is integrated over the whole gap axis and its far tail is
+    # resolved to relative accuracy.  The references integrate the datum
+    # divided by its value at the target, g(x) / g(target).
+    @pytest.mark.parametrize("sigmas", [8.0, 9.0, 10.0, 11.0])
+    def test_gaussian_far_tail_dirac(self, sigmas):
+        y, X = 1.0, sigmas
+        res = solve_dirac(InitialData.gaussian(0.0, 1.0), y, X)
+        scaled = _gap_reference(lambda s: math.exp(-X * s - 0.5 * s * s), y,
+                                [0.0, math.inf])
+        assert res.converged
+        assert res.value == pytest.approx(math.exp(-0.5 * X * X) * scaled,
+                                          rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("sigmas", [8.0, 9.0, 10.0, 11.0])
+    def test_gaussian_far_tail_euler(self, sigmas):
+        center, width, y, a = 2.0, 0.15, 0.3, 0.8
+        xi = center - sigmas * width
+
+        def scaled_datum(s):
+            t = (xi * math.exp(-2.0 * a * s) - center) / width
+            return math.exp(0.5 * (sigmas * sigmas - t * t))
+
+        res = solve_euler(InitialData.gaussian(center, width), y, xi, a)
+        scaled = _gap_reference(scaled_datum, y, [0.0, math.inf])
+        assert res.converged
+        assert res.value == pytest.approx(
+            math.exp(-0.5 * sigmas * sigmas) * scaled, rel=1e-10, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a spline's interior knots make two trapezoid levels agree closer "
+        "than either is to the value; the one-level stopping rule then "
+        "reports convergence 7e-10 off"))
+    def test_spline_knots_do_not_converge_falsely(self):
+        grid = np.linspace(-2.993681839946668, 0.5105605332999388, 201)
+        values = 0.3 + sum(
+            amp * np.exp(-0.5 * ((grid - c) / w) ** 2) for c, w, amp in (
+                (-0.46523068462437056, 0.5745146655245432, 0.8905413911078446),
+                (0.16513845342345235, 0.3367079796402642, -0.9491082780130784),
+                (-1.0964413113794715, 1.4269789953342127, -0.23759152462357513)))
+        data = InitialData.sampled(grid, values)
+        y, xi, a = 0.13557162404420706, -2.7798582475032716, 0.8057846915861185
+        res = solve_euler(data, y, xi, a)
+        ref = _gap_reference(lambda s: data(xi * math.exp(-2.0 * a * s)), y,
+                             [0.0] + _euler_gap_edges(grid, xi, a))
+        # an unconverged result is honest; a converged one must be accurate
+        assert not res.converged or res.value == pytest.approx(ref, rel=1e-10)
 
     def test_invariant_line_subtraction_cancels(self):
         # the window reaches xi' = 0, where the datum's value d0 is taken out
