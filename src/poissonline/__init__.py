@@ -43,6 +43,7 @@ from .quadrature import (
     subordination_derived_residual,
 )
 from .solvers import (
+    PROBLEMS,
     InitialData,
     InvalidDataError,
     SolutionGrid,
@@ -92,6 +93,7 @@ __all__ = [
     "integrate_semi_infinite_batch",
     "subordination_base_residual",
     "subordination_derived_residual",
+    "PROBLEMS",
     "InitialData",
     "InvalidDataError",
     "SolutionGrid",

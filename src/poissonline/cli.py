@@ -10,7 +10,9 @@ Four commands share one exit-code contract:
     exit 0   all records passed / converged
     exit 1   verification or study failure
     exit 2   invalid input
-    exit 3   quadrature failed to converge (records still written)
+    exit 3   quadrature failed to converge (records still written), or
+             could not go on: a non-finite integrand sample, or a failed
+             cell of a study (no records written)
 
 Records are emitted as CSV (default) or JSON with floats serialized to 17
 significant digits, so a re-read reproduces the in-memory doubles exactly
@@ -34,7 +36,6 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import (
-    DegenerateCharacteristicError,
     EvaluationPoint,
     OscillatorParam,
     dirac_kernel,
@@ -43,9 +44,10 @@ from .kernels import (
     mehler_heat_kernel,
     oscillator_poisson_kernel_batch,
 )
-from .oracles import InsufficientOrderError, boundary_limit_gap, limit_a_to_zero_gap
-from .quadrature import NonConvergenceError, QuadratureConfig
-from .solvers import InitialData, InvalidDataError, SolveRequest, solve_grid
+from .numerics import finite_real, positive_real
+from .oracles import boundary_limit_gap, limit_a_to_zero_gap
+from .quadrature import IntegrandEvaluationError, NonConvergenceError, QuadratureConfig
+from .solvers import PROBLEMS, InitialData, SolveRequest, solve_grid
 from .suites import run_suite, suite_names
 
 __all__ = ["main"]
@@ -53,7 +55,6 @@ __all__ = ["main"]
 _ENV_REL_TOL = "POISSONLINE_REL_TOL"
 
 _KERNELS = ("dirac", "euler", "oscillator", "mehler", "halfplane")
-_PROBLEMS = ("dirac", "euler", "oscillator")
 _NEEDS_A = {"euler", "oscillator", "mehler"}
 
 _DEFAULT_BOUNDARY_POINTS = {
@@ -220,29 +221,14 @@ def _quad_config(ns) -> QuadratureConfig:
                     f"{_ENV_REL_TOL} must be a float, got {raw!r}") from None
         else:
             rel_tol = 1e-10
-    try:
-        return QuadratureConfig(rel_tol=float(rel_tol))
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-
-
-def _positive(ns_value, name: str) -> float:
-    try:
-        v = float(ns_value)
-    except (TypeError, ValueError):
-        raise _InputError(f"{name} must be a float") from None
-    if not (math.isfinite(v) and v > 0):
-        raise _InputError(f"{name} must be a positive finite real, got {v!r}")
-    return v
+    return QuadratureConfig(rel_tol=float(rel_tol))
 
 
 def _resolve_axis(scalar, grid_spec, name: str) -> list[float]:
     if (scalar is None) == (grid_spec is None):
         raise _InputError(f"provide exactly one of --{name} or --{name}-grid")
     if scalar is not None:
-        if not math.isfinite(scalar):
-            raise _InputError(f"--{name} must be finite")
-        return [float(scalar)]
+        return [finite_real(scalar, f"--{name}")]
     return _parse_grid(grid_spec)
 
 
@@ -258,7 +244,7 @@ def _run_kernel(ns) -> int:
     if kernel in _NEEDS_A:
         if ns.a is None:
             raise _InputError(f"--a is required for the {kernel} kernel")
-        param = OscillatorParam(_positive(ns.a, "--a"))
+        param = OscillatorParam(positive_real(ns.a, "--a"))
     else:
         if ns.a is not None:
             raise _InputError(f"--a does not apply to the {kernel} kernel")
@@ -268,13 +254,13 @@ def _run_kernel(ns) -> int:
             raise _InputError("the mehler heat kernel takes --t, not --y")
         if ns.t is None:
             raise _InputError("--t is required for the mehler kernel")
-        level = _positive(ns.t, "--t")
+        level = positive_real(ns.t, "--t")
     else:
         if ns.t is not None:
             raise _InputError("--t applies only to the mehler kernel")
         if ns.y is None:
             raise _InputError("--y is required")
-        level = _positive(ns.y, "--y")
+        level = positive_real(ns.y, "--y")
 
     targets = _resolve_axis(ns.target, ns.target_grid, "target")
     sources = _resolve_axis(ns.source, ns.source_grid, "source")
@@ -316,28 +302,15 @@ def _run_kernel(ns) -> int:
 
 def _run_solve(ns) -> int:
     cfg = _quad_config(ns)
-    problem = ns.problem
-    if problem not in _PROBLEMS:
-        raise _InputError(f"--problem must be one of {', '.join(_PROBLEMS)}")
+    if ns.problem not in PROBLEMS:
+        raise _InputError(f"--problem must be one of {', '.join(PROBLEMS)}")
     if ns.data is None:
         raise _InputError("--data is required")
-    if problem in ("euler", "oscillator"):
-        if ns.a is None:
-            raise _InputError(f"--a is required for the {problem} problem")
-        a = _positive(ns.a, "--a")
-    else:
-        if ns.a is not None:
-            raise _InputError("--a does not apply to the dirac problem")
-        a = None
     data = _parse_data(ns.data)
     y_levels = _resolve_axis(ns.y, ns.y_grid, "y")
     targets = _resolve_axis(ns.target, ns.target_grid, "target")
-    try:
-        req = SolveRequest(problem=problem, data=data,
-                           y_levels=tuple(y_levels),
-                           spatial_points=tuple(targets), a=a, cfg=cfg)
-    except (ValueError, InvalidDataError) as exc:
-        raise _InputError(str(exc)) from None
+    req = SolveRequest(problem=ns.problem, data=data, y_levels=tuple(y_levels),
+                       spatial_points=tuple(targets), a=ns.a, cfg=cfg)
     grid = solve_grid(req)
     records = []
     for i, y in enumerate(grid.y_levels):
@@ -357,16 +330,13 @@ def _run_verify(ns) -> int:
     cfg = _quad_config(ns)
     if ns.suite is None:
         raise _InputError(f"--suite must be one of {', '.join(suite_names())}")
-    scale = _positive(ns.oscillator_prefactor_scale,
-                      "--oscillator-prefactor-scale")
+    scale = positive_real(ns.oscillator_prefactor_scale,
+                          "--oscillator-prefactor-scale")
     override = ns.tolerance_override
     if override is not None:
-        override = _positive(override, "--tolerance-override")
-    try:
-        reports = run_suite(ns.suite, cfg, prefactor_scale=scale,
-                            tolerance_override=override)
-    except (ValueError, InsufficientOrderError) as exc:
-        raise _InputError(str(exc)) from None
+        override = positive_real(override, "--tolerance-override")
+    reports = run_suite(ns.suite, cfg, prefactor_scale=scale,
+                        tolerance_override=override)
     records = [{
         "check_name": r.check_name, "measured": r.measured,
         "tolerance": r.tolerance, "passed": r.passed,
@@ -381,39 +351,25 @@ def _run_limit(ns) -> int:
     if ns.study not in ("a-to-zero", "boundary"):
         raise _InputError("--study must be a-to-zero or boundary")
     if ns.study == "a-to-zero":
-        y = _positive(ns.y if ns.y is not None else 1.0, "--y")
+        y = positive_real(ns.y if ns.y is not None else 1.0, "--y")
         target = float(ns.target) if ns.target is not None else 0.3
         source = float(ns.source) if ns.source is not None else -0.2
         seq = _parse_seq(ns.a_seq, "--a-seq")
-        try:
-            report = limit_a_to_zero_gap(y, target, source, seq, cfg)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from None
+        report = limit_a_to_zero_gap(y, target, source, seq, cfg)
         params = report.context["a_sequence"]
         study = "a-to-zero"
     else:
-        if ns.problem not in _PROBLEMS:
+        if ns.problem not in PROBLEMS:
             raise _InputError("--problem is required for the boundary study "
-                              f"and must be one of {', '.join(_PROBLEMS)}")
+                              f"and must be one of {', '.join(PROBLEMS)}")
         data = _parse_data(ns.data)
-        a = None
-        if ns.problem in ("euler", "oscillator"):
-            if ns.a is None:
-                raise _InputError(
-                    f"--a is required for the {ns.problem} problem")
-            a = _positive(ns.a, "--a")
-        elif ns.a is not None:
-            raise _InputError("--a does not apply to the dirac problem")
         seq = _parse_seq(ns.y_seq, "--y-seq")
         if ns.points is not None:
             points = _parse_seq(ns.points, "--points")
         else:
             points = list(_DEFAULT_BOUNDARY_POINTS[ns.problem])
-        try:
-            report = boundary_limit_gap(ns.problem, data, seq, points, a=a,
-                                        cfg=cfg)
-        except (ValueError, InvalidDataError) as exc:
-            raise _InputError(str(exc)) from None
+        report = boundary_limit_gap(ns.problem, data, seq, points, a=ns.a,
+                                    cfg=cfg)
         params = report.context["y_sequence"]
         study = "boundary"
     gaps = report.context["gaps"]
@@ -477,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "descriptors: gaussian:center,width  bump:center,radius  "
                     "exponential:rate  power:exponent  eigenfunction:n  "
                     "sampled:csvpath (two columns x,value; optional header).")
-    s.add_argument("--problem", choices=_PROBLEMS, default=None)
+    s.add_argument("--problem", choices=tuple(PROBLEMS), default=None)
     s.add_argument("--data", default=None, metavar="KIND:PARAMS")
     s.add_argument("--a", type=float, default=None,
                    help="frequency (euler, oscillator)")
@@ -514,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "parameter, gap.  Exit 0 only if the study passed.")
     li.add_argument("--study", choices=("a-to-zero", "boundary"),
                     default=None)
-    li.add_argument("--problem", choices=_PROBLEMS, default=None,
+    li.add_argument("--problem", choices=tuple(PROBLEMS), default=None,
                     help="boundary study problem")
     li.add_argument("--data", default="gaussian:0,1", metavar="KIND:PARAMS",
                     help="boundary study datum (default gaussian:0,1)")
@@ -577,19 +533,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             sub.choices[ns.command].set_defaults(**defaults)
             ns = parser.parse_args(argv)
         return ns.func(ns)
-    except _InputError as exc:
+    except (_InputError, ValueError) as exc:
+        # the library's input errors (InvalidDataError,
+        # DegenerateCharacteristicError, ...) are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateCharacteristicError, InvalidDataError,
-            InsufficientOrderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, IntegrandEvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

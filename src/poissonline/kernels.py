@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import finite_real, positive_real
 from .quadrature import QuadratureConfig, integrate_semi_infinite_batch
 
 __all__ = [
@@ -59,15 +60,6 @@ class DegenerateCharacteristicError(ValueError):
     """The scaling kernel was evaluated on the invariant line xi = 0."""
 
 
-def _checked_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class EvaluationPoint:
     """A single kernel argument (boundary distance, target, source)."""
@@ -77,11 +69,9 @@ class EvaluationPoint:
     source: float
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _checked_float(self.y, "y"))
-        object.__setattr__(self, "target", _checked_float(self.target, "target"))
-        object.__setattr__(self, "source", _checked_float(self.source, "source"))
-        if self.y <= 0.0:
-            raise ValueError(f"y must be positive, got {self.y!r}")
+        object.__setattr__(self, "y", positive_real(self.y, "y"))
+        object.__setattr__(self, "target", finite_real(self.target, "target"))
+        object.__setattr__(self, "source", finite_real(self.source, "source"))
 
 
 @dataclass(frozen=True)
@@ -91,9 +81,7 @@ class OscillatorParam:
     a: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _checked_float(self.a, "a"))
-        if self.a <= 0.0:
-            raise ValueError(f"a must be positive, got {self.a!r}")
+        object.__setattr__(self, "a", positive_real(self.a, "a"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,11 +251,9 @@ def mehler_heat_kernel(t: float, x: float, xp: float,
     evaluated in the log domain.  As a -> 0 it approaches the Gaussian
     heat kernel (4 pi t)^{-1/2} exp(-(x - x')^2 / (4t)).
     """
-    t = _checked_float(t, "t")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t!r}")
-    x = _checked_float(x, "x")
-    xp = _checked_float(xp, "xp")
+    t = positive_real(t, "t")
+    x = finite_real(x, "x")
+    xp = finite_real(xp, "xp")
     return KernelValue(_exp(float(_mehler_log(t, x, xp, a.a))), 0.0)
 
 
@@ -314,16 +300,12 @@ def oscillator_poisson_kernel_batch(y: float, targets, sources,
     Mismatched lengths, or a target or source that is not a finite real
     number, raise ValueError.
     """
-    y = _checked_float(y, "y")
-    if y <= 0.0:
-        raise ValueError(f"y must be positive, got {y!r}")
-    xs = [_checked_float(v, "target") for v in targets]
-    xps = [_checked_float(v, "source") for v in sources]
+    y = positive_real(y, "y")
+    xs = [finite_real(v, "target") for v in targets]
+    xps = [finite_real(v, "source") for v in sources]
     if len(xs) != len(xps):
         raise ValueError(f"got {len(xs)} targets but {len(xps)} sources")
-    scale = _checked_float(prefactor_scale, "prefactor_scale")
-    if scale <= 0.0:
-        raise ValueError(f"prefactor_scale must be positive, got {scale!r}")
+    scale = positive_real(prefactor_scale, "prefactor_scale")
     if cfg is None:
         cfg = QuadratureConfig()
     aa = a.a

@@ -8,6 +8,8 @@
   recurrence (`hermite_all`, `hermite_function`).
 * A not-a-knot cubic interpolating spline in plain numpy
   (`not_a_knot_spline`).
+* The checks of real arguments that every other module shares: a finite
+  real (`finite_real`) and a positive finite real (`positive_real`).
 
 None of these depend on the kernels, the quadrature or the verification
 layer, so every other module may import them.
@@ -22,12 +24,14 @@ import numpy as np
 
 __all__ = [
     "NODES_PER_PANEL",
+    "finite_real",
     "gauss_kronrod15",
     "graded_breakpoints",
     "hermite_all",
     "hermite_function",
     "leggauss",
     "not_a_knot_spline",
+    "positive_real",
     "split_panels",
 ]
 
@@ -65,6 +69,25 @@ _GK15_GAUSS = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+
+
+def finite_real(value, name: str) -> float:
+    """`value` as a float, if it is a finite int or float (not a bool).
+
+    Raises ValueError naming the argument otherwise.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -math.inf < value < math.inf):
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
+
+
+def positive_real(value, name: str) -> float:
+    """`value` as a float, if it is a positive finite int or float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+    return float(value)
 
 
 @lru_cache(maxsize=None)
@@ -169,9 +192,7 @@ def hermite_function(n: int, a: float, x):
     """
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be a positive finite real, got {a!r}")
-    values = hermite_all(n, float(a), x)[n]
+    values = hermite_all(n, positive_real(a, "a"), x)[n]
     if np.ndim(x) == 0:
         return float(values)
     return values

@@ -25,8 +25,10 @@ from .kernels import (
     mehler_heat_kernel,
     oscillator_poisson_kernel,
 )
-from .numerics import hermite_all, hermite_function
-from .quadrature import QuadratureConfig
+from . import solvers
+from .numerics import hermite_all, hermite_function, positive_real
+from .quadrature import NonConvergenceError, QuadratureConfig
+from .solvers import PROBLEMS, SolveRequest
 
 __all__ = [
     "SpectralConfig",
@@ -74,10 +76,7 @@ class SpectralConfig:
         if not (isinstance(self.n_max, int) and not isinstance(self.n_max, bool)
                 and self.n_max >= 1):
             raise ValueError(f"n_max must be a positive integer, got {self.n_max!r}")
-        if not (isinstance(self.a, (int, float)) and math.isfinite(self.a)
-                and self.a > 0):
-            raise ValueError(f"a must be a positive finite real, got {self.a!r}")
-        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "a", positive_real(self.a, "a"))
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,7 @@ class StencilConfig:
 
     def __post_init__(self):
         for name in ("h_y", "h_x"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite real, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, positive_real(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -320,8 +316,7 @@ def spectral_heat_kernel(t: float, x: float, xp: float, sc: SpectralConfig,
     the only error sources are the truncation tail, bounded by tol, and
     the final rounding to float.
     """
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError(f"t must be a positive finite real, got {t!r}")
+    t = positive_real(t, "t")
     bound = heat_tail_bound(t, sc)
     if bound > tol:
         raise InsufficientOrderError(
@@ -338,8 +333,7 @@ def spectral_poisson_kernel(y: float, x: float, xp: float, sc: SpectralConfig,
     bound is checked at call time; InsufficientOrderError reports the
     order that would be needed.
     """
-    if not (y > 0 and math.isfinite(y)):
-        raise ValueError(f"y must be a positive finite real, got {y!r}")
+    y = positive_real(y, "y")
     bound = poisson_tail_bound(y, sc)
     if bound > tol:
         needed = required_poisson_order(y, sc.a, tol)
@@ -357,8 +351,6 @@ def spectral_poisson_kernel(y: float, x: float, xp: float, sc: SpectralConfig,
 
 # ---------------------------------------------------------------------------
 # Finite-difference PDE residuals
-
-_OPERATORS = ("dirac", "euler", "oscillator")
 
 
 def pde_residual(operator: str, fieldfn: Callable[[float, float], float],
@@ -383,14 +375,15 @@ def pde_residual(operator: str, fieldfn: Callable[[float, float], float],
         Threshold applied to the relative residual
         |defect| / (|field| + machine epsilon).
     """
-    if operator not in _OPERATORS:
-        raise ValueError(f"operator must be one of {_OPERATORS}, got {operator!r}")
+    if operator not in PROBLEMS:
+        raise ValueError(f"operator must be one of {tuple(PROBLEMS)}, "
+                         f"got {operator!r}")
     st = st or StencilConfig()
     if y - st.h_y <= 0.0:
         raise InvalidStencilError(
             f"stencil reaches y <= 0 (y={y}, h_y={st.h_y})"
         )
-    if operator in ("euler", "oscillator") and a is None:
+    if PROBLEMS[operator].needs_a and a is None:
         raise ValueError(f"operator {operator!r} requires the parameter a")
     if operator == "euler" and (x == 0.0 or (x > 0) != (x - math.copysign(st.h_x, x) > 0)):
         raise InvalidStencilError(
@@ -432,7 +425,7 @@ def kernel_field(operator: str, source: float, a: float | None = None,
         return lambda y, x: oscillator_poisson_kernel(
             EvaluationPoint(y, x, source), pa, cfg,
             prefactor_scale=prefactor_scale).value
-    raise ValueError(f"operator must be one of {_OPERATORS}, got {operator!r}")
+    raise ValueError(f"operator must be one of {tuple(PROBLEMS)}, got {operator!r}")
 
 
 def eigen_solution_field(operator: str, *, rate: float | None = None,
@@ -462,7 +455,7 @@ def eigen_solution_field(operator: str, *, rate: float | None = None,
             raise ValueError("the oscillator eigen-solution requires a and n")
         root = math.sqrt((2 * n + 1) * a)
         return lambda y, x: math.exp(-y * root) * hermite_function(n, a, x)
-    raise ValueError(f"operator must be one of {_OPERATORS}, got {operator!r}")
+    raise ValueError(f"operator must be one of {tuple(PROBLEMS)}, got {operator!r}")
 
 
 def residual_convergence_orders(operator: str,
@@ -500,11 +493,9 @@ def limit_a_to_zero_gap(y: float, x: float, xp: float,
     sequence fails to decrease), `tolerance` the 10 * a_final bound, and
     the full gap list rides along in the context.
     """
-    a_sequence = [float(a) for a in a_sequence]
+    a_sequence = [positive_real(a, "a_sequence entry") for a in a_sequence]
     if not a_sequence:
         raise ValueError("a_sequence must not be empty")
-    if any(a <= 0 or not math.isfinite(a) for a in a_sequence):
-        raise ValueError("a_sequence entries must be positive finite reals")
     if any(a1 >= a0 for a0, a1 in zip(a_sequence[:-1], a_sequence[1:])):
         raise ValueError("a_sequence must decrease strictly")
     point = EvaluationPoint(y, x, xp)
@@ -526,41 +517,32 @@ def boundary_limit_gap(problem: str, data, y_sequence: Sequence[float],
                        cfg: QuadratureConfig | None = None) -> VerificationReport:
     """Boundary recovery study: sup |solution(y, .) - data| along y -> 0.
 
-    Solves the requested problem at each y in the decreasing sequence and
-    measures the sup norm of the defect over the given spatial points.
+    Solves the requested problem over (y_sequence x spatial_points) with
+    one `solvers.solve_grid` call, whose `SolveRequest` validates the
+    inputs, and measures at each y the sup norm of the defect over the
+    points.  A cell that fails to evaluate raises NonConvergenceError
+    naming the failures, since its NaN would read as a zero defect.
     Passes when the sup gaps are non-increasing; `measured` is the largest
     consecutive increment (<= 0 means monotone recovery) and the gap list
     is returned in the context.
     """
-    from . import solvers  # local import; solvers layers on top of this module
-
-    y_sequence = [float(y) for y in y_sequence]
-    if not y_sequence:
-        raise ValueError("y_sequence must not be empty")
-    if any(y1 >= y0 for y0, y1 in zip(y_sequence[:-1], y_sequence[1:])):
+    req = SolveRequest(problem=problem, data=data,
+                       y_levels=tuple(y_sequence),
+                       spatial_points=tuple(spatial_points), a=a,
+                       cfg=cfg or QuadratureConfig())
+    ys = req.y_levels
+    if any(y1 >= y0 for y0, y1 in zip(ys[:-1], ys[1:])):
         raise ValueError("y_sequence must decrease strictly")
-    points = [float(x) for x in spatial_points]
-    if not points:
-        raise ValueError("spatial_points must not be empty")
-
-    gaps = []
-    for y in y_sequence:
-        worst = 0.0
-        for x in points:
-            if problem == "dirac":
-                solved = solvers.solve_dirac(data, y, x, cfg).value
-                datum = float(data(x))
-            elif problem == "euler":
-                solved = solvers.solve_euler(data, y, x, a, cfg).value
-                datum = float(data(x, a=a))
-            elif problem == "oscillator":
-                solved = solvers.solve_oscillator(data, y, x, a, cfg).value
-                datum = float(data(x, a=a))
-            else:
-                raise ValueError(f"unknown problem {problem!r}")
-            worst = max(worst, abs(solved - datum))
-        gaps.append(worst)
+    grid = solvers.solve_grid(req)
+    failed = grid.failures[grid.failures != ""].tolist()
+    if failed:
+        raise NonConvergenceError(
+            f"{len(failed)} cell(s) of the {problem} boundary study failed: "
+            + "; ".join(failed))
+    datum = [float(data(x, a=req.a)) for x in req.spatial_points]
+    gaps = [max(abs(v - d) for v, d in zip(row, datum))
+            for row in grid.values.tolist()]
     increments = [g1 - g0 for g0, g1 in zip(gaps[:-1], gaps[1:])]
     measured = max(increments) if increments else 0.0
     return make_report(f"boundary-limit-{problem}", measured, 0.0,
-                       gaps=tuple(gaps), y_sequence=tuple(y_sequence))
+                       gaps=tuple(gaps), y_sequence=ys)

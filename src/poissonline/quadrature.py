@@ -50,6 +50,8 @@ from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
+from .numerics import positive_real
+
 __all__ = [
     "LogIntegrand",
     "BatchIntegrand",
@@ -209,24 +211,16 @@ def _scan_grid(t_lo: float, t_hi: float) -> np.ndarray:
     return grid
 
 
-def _find_centres(integrand: BatchIntegrand, k: int, counts: list,
-                  hints=()) -> list:
+def _find_centres(integrand: BatchIntegrand, k: int, counts: list) -> list:
     """log u* per component, u* the maximizer of |f(u)| * u on a log axis.
 
     Coarse log-spaced scan, widened while a component's maximum sits on an
     edge, followed by at most _BRACKET_ROUNDS vectorized rounds that each
     score _BRACKET_POINTS points across the bracket around its best point.
     Components that need the same scan window share one integrand call,
-    and every bracket round is one call.  `hints` are extra abscissae
-    always included in the scan, so that a support window narrower than
-    the scan step is never stepped over.  The entry is None for a
+    and every bracket round is one call.  The entry is None for a
     component that is identically zero over the widest scan window.
     """
-    log_hints = np.array(sorted(
-        math.log(h) for h in hints
-        if isinstance(h, (int, float)) and math.isfinite(h) and h > 0.0
-        and -_SCAN_LIMIT <= math.log(h) <= _SCAN_LIMIT
-    ))
     lo, hi, best, top = ([None] * k for _ in range(4))
     # scan window (t_lo, t_hi, widened) -> components still to scan on it
     pending = {(_SCAN_LO, _SCAN_HI, False): list(range(k))}
@@ -234,12 +228,6 @@ def _find_centres(integrand: BatchIntegrand, k: int, counts: list,
         (t_lo, t_hi, widened), rows = pending.popitem()
         t = _scan_grid(t_lo, t_hi)
         n = t.size
-        if log_hints.size:
-            # sorted and deduplicated as np.unique would, which would load
-            # numpy.ma on its first call
-            t = np.sort(np.concatenate([t, log_hints]))
-            t = t[np.concatenate([[True], t[1:] != t[:-1]])]
-            n = t.size
         sc = _scores(integrand, t, rows, counts)
         for j, (row, i) in enumerate(zip(rows, sc.argmax(axis=1).tolist())):
             peak = float(sc[j, i])
@@ -561,8 +549,7 @@ def _refine(trap: _Trapezoid, cfg: QuadratureConfig, results: list) -> None:
 
 
 def integrate_semi_infinite_batch(integrand: BatchIntegrand, k: int,
-                                  cfg: QuadratureConfig | None = None,
-                                  probe_hints=()) -> list:
+                                  cfg: QuadratureConfig | None = None) -> list:
     """Integrate k integrands over (0, inf) in lockstep, one result each.
 
     Parameters
@@ -579,8 +566,6 @@ def integrate_semi_infinite_batch(integrand: BatchIntegrand, k: int,
         Number of components.
     cfg : QuadratureConfig, optional
         Tolerances and refinement limits, shared by every component.
-    probe_hints : iterable of float, optional
-        Abscissae added to every component's peak scan.
 
     Returns
     -------
@@ -605,7 +590,7 @@ def integrate_semi_infinite_batch(integrand: BatchIntegrand, k: int,
     # one error state for the whole quadrature: samples underflow in
     # exp(log F - peak), and integrands take log 0 = -inf where f vanishes
     with np.errstate(under="ignore", divide="ignore"):
-        best = _find_centres(integrand, k, counts, probe_hints)
+        best = _find_centres(integrand, k, counts)
         comp = []
         for row, b in enumerate(best):
             if b is None:
@@ -620,8 +605,7 @@ def integrate_semi_infinite_batch(integrand: BatchIntegrand, k: int,
 
 
 def integrate_semi_infinite(integrand: LogIntegrand,
-                            cfg: QuadratureConfig | None = None,
-                            probe_hints=()) -> QuadratureResult:
+                            cfg: QuadratureConfig | None = None) -> QuadratureResult:
     """Integrate f over (0, inf) from its (sign, log-magnitude) samples.
 
     Parameters
@@ -630,12 +614,11 @@ def integrate_semi_infinite(integrand: LogIntegrand,
         Vectorized callable u -> (sign, log_magnitude).  Must be finite
         apart from log_magnitude == -inf where f vanishes; a NaN or +inf
         sample raises IntegrandEvaluationError with the offending abscissa.
+        The peak scan steps 0.3 in log u and can step over a support
+        narrower than that: map such a support onto all of (0, inf)
+        first, as the solvers do with a datum's gap window.
     cfg : QuadratureConfig, optional
         Tolerances and refinement limits.
-    probe_hints : iterable of float, optional
-        Abscissae known to lie inside the integrand's support, e.g. from a
-        datum's support interval.  Without them, a support window narrower
-        than the peak-scan resolution could be missed entirely.
 
     Returns
     -------
@@ -650,13 +633,7 @@ def integrate_semi_infinite(integrand: LogIntegrand,
     def one_component(u, rows):
         return integrand(u.ravel())
 
-    return integrate_semi_infinite_batch(one_component, 1, cfg, probe_hints)[0]
-
-
-def _require_positive(value: float, name: str) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite real, got {value!r}")
-    return float(value)
+    return integrate_semi_infinite_batch(one_component, 1, cfg)[0]
 
 
 def subordination_base_residual(t: float, lam: float,
@@ -669,8 +646,8 @@ def subordination_base_residual(t: float, lam: float,
 
     and returns |lhs - rhs| / lhs.  Both t and lam must be positive.
     """
-    t = _require_positive(t, "t")
-    lam = _require_positive(lam, "lam")
+    t = positive_real(t, "t")
+    lam = positive_real(lam, "lam")
     if cfg is None:
         cfg = QuadratureConfig()
     t2 = t * t
@@ -702,8 +679,8 @@ def subordination_derived_residual(t: float, lam: float,
     semigroup into the corresponding Poisson semigroup; note that the right
     side carries no 1/t factor.
     """
-    t = _require_positive(t, "t")
-    lam = _require_positive(lam, "lam")
+    t = positive_real(t, "t")
+    lam = positive_real(lam, "lam")
     if cfg is None:
         cfg = QuadratureConfig()
     t2 = t * t

@@ -43,10 +43,12 @@ from .kernels import (
 )
 from .numerics import (
     NODES_PER_PANEL,
+    finite_real,
     graded_breakpoints,
     hermite_function,
     leggauss,
     not_a_knot_spline,
+    positive_real,
     split_panels,
 )
 from .quadrature import (
@@ -57,6 +59,8 @@ from .quadrature import (
 )
 
 __all__ = [
+    "PROBLEMS",
+    "Problem",
     "InitialData",
     "InvalidDataError",
     "SolveResult",
@@ -68,16 +72,26 @@ __all__ = [
     "solve_grid",
 ]
 
-_PROBLEMS = ("dirac", "euler", "oscillator")
 
-# Which presets each problem can integrate.  The transport kernel has a
+class Problem(NamedTuple):
+    """What one boundary problem takes: whether it needs the frequency a,
+    and the data presets that are integrable against its kernel."""
+
+    needs_a: bool
+    presets: frozenset
+
+
+# The three boundary problems, by name.  The transport kernel has a
 # power-law tail in the gap, so data growing faster than a bounded function
 # is rejected; the oscillator kernel decays like a Gaussian but the panel
 # quadrature needs a finite effective support.
-_ALLOWED = {
-    "dirac": {"gaussian", "bump", "exponential", "sampled"},
-    "euler": {"gaussian", "bump", "exponential", "power", "sampled"},
-    "oscillator": {"gaussian", "bump", "eigenfunction", "sampled"},
+PROBLEMS = {
+    "dirac": Problem(False, frozenset(
+        {"gaussian", "bump", "exponential", "sampled"})),
+    "euler": Problem(True, frozenset(
+        {"gaussian", "bump", "exponential", "power", "sampled"})),
+    "oscillator": Problem(True, frozenset(
+        {"gaussian", "bump", "eigenfunction", "sampled"})),
 }
 
 # Presets that vanish identically outside their effective support.  The
@@ -88,18 +102,6 @@ _COMPACT = {"bump", "sampled"}
 
 class InvalidDataError(ValueError):
     """The data preset cannot be integrated against the requested kernel."""
-
-
-def _positive(value, name: str) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite real, got {value!r}")
-    return float(value)
-
-
-def _finite(value, name: str) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real, got {value!r}")
-    return float(value)
 
 
 class InitialData:
@@ -136,8 +138,8 @@ class InitialData:
 
     @classmethod
     def gaussian(cls, center: float, width: float) -> "InitialData":
-        center = _finite(center, "center")
-        width = _positive(width, "width")
+        center = finite_real(center, "center")
+        width = positive_real(width, "width")
 
         def fn(x, a=None):
             t = (np.asarray(x, dtype=float) - center) / width
@@ -150,8 +152,8 @@ class InitialData:
 
     @classmethod
     def bump(cls, center: float, radius: float) -> "InitialData":
-        center = _finite(center, "center")
-        radius = _positive(radius, "radius")
+        center = finite_real(center, "center")
+        radius = positive_real(radius, "radius")
 
         def fn(x, a=None):
             t = (np.asarray(x, dtype=float) - center) / radius
@@ -167,7 +169,7 @@ class InitialData:
 
     @classmethod
     def exponential(cls, rate: float) -> "InitialData":
-        rate = _positive(rate, "rate")
+        rate = positive_real(rate, "rate")
 
         def fn(x, a=None):
             with np.errstate(under="ignore", over="ignore"):
@@ -177,7 +179,7 @@ class InitialData:
 
     @classmethod
     def power(cls, exponent: float) -> "InitialData":
-        exponent = _positive(exponent, "exponent")
+        exponent = positive_real(exponent, "exponent")
 
         def fn(x, a=None):
             with np.errstate(under="ignore", over="ignore"):
@@ -260,10 +262,11 @@ class SolveResult(NamedTuple):
 def _check_data(problem: str, data: InitialData) -> None:
     if not isinstance(data, InitialData):
         raise InvalidDataError(f"data must be an InitialData, got {type(data)!r}")
-    if data.kind not in _ALLOWED[problem]:
+    presets = PROBLEMS[problem].presets
+    if data.kind not in presets:
         raise InvalidDataError(
             f"preset {data.kind!r} is not integrable against the {problem} "
-            f"kernel; allowed: {sorted(_ALLOWED[problem])}"
+            f"kernel; allowed: {sorted(presets)}"
         )
 
 
@@ -352,8 +355,8 @@ def solve_dirac(data: InitialData, y: float, target: float,
     datum, the gaussian included, is integrated over (0, inf) as it is.
     """
     _check_data("dirac", data)
-    y = _positive(y, "y")
-    target = _finite(target, "target")
+    y = positive_real(y, "y")
+    target = finite_real(target, "target")
     if cfg is None:
         cfg = QuadratureConfig()
     lo, hi = 0.0, math.inf
@@ -382,9 +385,9 @@ def solve_euler(data: InitialData, y: float, target: float, a: float,
     DegenerateCharacteristicError.
     """
     _check_data("euler", data)
-    y = _positive(y, "y")
-    a = _positive(a, "a")
-    target = _finite(target, "target")
+    y = positive_real(y, "y")
+    a = positive_real(a, "a")
+    target = finite_real(target, "target")
     if target == 0.0:
         raise DegenerateCharacteristicError(
             "the scaling problem is undefined on the invariant line xi = 0"
@@ -493,9 +496,9 @@ def solve_oscillator(data: InitialData, y: float, target: float, a: float,
     two.
     """
     _check_data("oscillator", data)
-    y = _positive(y, "y")
-    a = _positive(a, "a")
-    target = _finite(target, "target")
+    y = positive_real(y, "y")
+    a = positive_real(a, "a")
+    target = finite_real(target, "target")
     if cfg is None:
         cfg = QuadratureConfig()
     support = data.effective_support(a=a)
@@ -531,7 +534,11 @@ def solve_oscillator(data: InitialData, y: float, target: float, a: float,
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """A solver run over a rectangular (y, spatial) grid."""
+    """A solver run over a rectangular (y, spatial) grid.
+
+    `a` is required for the problems that take it (`PROBLEMS`), euler and
+    oscillator, and rejected for dirac.
+    """
 
     problem: str
     data: InitialData
@@ -541,21 +548,25 @@ class SolveRequest:
     cfg: QuadratureConfig = QuadratureConfig()
 
     def __post_init__(self):
-        if self.problem not in _PROBLEMS:
-            raise ValueError(f"problem must be one of {_PROBLEMS}, got {self.problem!r}")
+        if self.problem not in PROBLEMS:
+            raise ValueError(f"problem must be one of {tuple(PROBLEMS)}, "
+                             f"got {self.problem!r}")
         _check_data(self.problem, self.data)
-        ys = tuple(_positive(y, "y level") for y in self.y_levels)
+        ys = tuple(positive_real(y, "y level") for y in self.y_levels)
         if not ys:
             raise ValueError("y_levels must not be empty")
-        xs = tuple(_finite(x, "spatial point") for x in self.spatial_points)
+        xs = tuple(finite_real(x, "spatial point") for x in self.spatial_points)
         if not xs:
             raise ValueError("spatial_points must not be empty")
         if self.problem == "euler" and any(x == 0.0 for x in xs):
             raise ValueError("euler spatial points must avoid the invariant line 0")
-        if self.problem in ("euler", "oscillator"):
+        if PROBLEMS[self.problem].needs_a:
             if self.a is None:
                 raise ValueError(f"problem {self.problem!r} requires the parameter a")
-            object.__setattr__(self, "a", _positive(self.a, "a"))
+            object.__setattr__(self, "a", positive_real(self.a, "a"))
+        elif self.a is not None:
+            raise ValueError(f"problem {self.problem!r} takes no parameter a, "
+                             f"got a={self.a!r}")
         object.__setattr__(self, "y_levels", ys)
         object.__setattr__(self, "spatial_points", xs)
 

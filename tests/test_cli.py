@@ -118,6 +118,18 @@ class TestKernelCommand:
                            "--target", "0", "--source-grid", spec], capsys)
         assert code == 2
 
+    def test_non_finite_integrand_exits_3(self, capsys):
+        # at a = 1e300 the Mehler spread and product overflow and meet as
+        # inf - inf: the quadrature cannot go on, and no record is written
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["kernel", "--kernel", "oscillator", "--a=1e300",
+                             "--y=1", "--target=1e5", "--source=-1e5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            "error: non-finite integrand sample")
+
     def test_single_point_grid(self, capsys):
         code, out = run_cli(["kernel", "--kernel", "halfplane", "--y", "1",
                              "--target", "0", "--source-grid", "0.25:0.25:1"],
@@ -181,6 +193,8 @@ class TestSolveCommand:
          "--y", "1", "--target", "0"],  # missing a
         ["solve", "--problem", "dirac", "--data", "sampled:/no/such/file",
          "--y", "1", "--target", "0"],
+        ["solve", "--problem", "dirac", "--a", "1", "--data", "gaussian:0,1",
+         "--y", "1", "--target", "0"],  # dirac takes no a
     ])
     def test_invalid_inputs_exit_2(self, args, capsys):
         code, _ = run_cli(args, capsys)
@@ -266,6 +280,14 @@ class TestLimitCommand:
 
     def test_boundary_requires_problem(self, capsys):
         code, _ = run_cli(["limit", "--study", "boundary"], capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--problem", "dirac", "--a", "1"],     # dirac takes no a
+        ["--problem", "euler"],                 # euler requires a
+    ])
+    def test_boundary_a_rule_exits_2(self, args, capsys):
+        code, _ = run_cli(["limit", "--study", "boundary"] + args, capsys)
         assert code == 2
 
 

@@ -17,6 +17,7 @@ from poissonline.kernels import (
     oscillator_poisson_kernel,
 )
 import poissonline.oracles as oracles
+import poissonline.solvers as solvers
 from poissonline.oracles import (
     InsufficientOrderError,
     InvalidStencilError,
@@ -38,7 +39,7 @@ from poissonline.oracles import (
     spectral_heat_kernel,
     spectral_poisson_kernel,
 )
-from poissonline.quadrature import QuadratureConfig
+from poissonline.quadrature import NonConvergenceError, QuadratureConfig
 from poissonline.solvers import InitialData
 from poissonline.suites import check_heat_oracle
 
@@ -333,6 +334,22 @@ class TestLimitStudies:
             boundary_limit_gap("dirac", data, (0.1, 0.05), ())
         with pytest.raises(ValueError):
             boundary_limit_gap("heat", data, (0.1, 0.05), (0.0,))
+
+    def test_boundary_gap_raises_on_a_failed_cell(self, monkeypatch):
+        # solve_grid stores a failed cell as NaN, and a NaN defect would
+        # drop out of the sup: unraised, it would read as a perfect gap
+        real = solvers.solve_dirac
+
+        def flaky(data, y, target, cfg=None):
+            if target == 0.5:
+                raise ArithmeticError("synthetic cell failure")
+            return real(data, y, target, cfg)
+
+        monkeypatch.setattr(solvers, "solve_dirac", flaky)
+        with pytest.raises(NonConvergenceError,
+                           match="ArithmeticError: synthetic cell failure"):
+            boundary_limit_gap("dirac", InitialData.gaussian(0.0, 1.0),
+                               (0.2, 0.1), (0.0, 0.5))
 
 
 class TestReports:

@@ -35,18 +35,18 @@ def signed(u):
         return np.sign(u - 2.0), np.log(np.abs(u - 2.0)) - u
 
 
-def narrow_bump(u):
-    # C-inf bump of radius 0.01 at u = 6; support is far narrower than
-    # the peak-scan resolution, so it is invisible without a probe hint
-    z = (u - 6.0) / 0.01
+def bump(u):
+    # C-inf bump of radius 2 at u = 6: zero outside (4, 8)
+    z = (u - 6.0) / 2.0
     inside = np.abs(z) < 1.0
     zc = np.where(inside, z, 0.0)
     logmag = np.where(inside, 1.0 - 1.0 / (1.0 - zc * zc), -np.inf)
     return np.where(inside, 1.0, 0.0), logmag
 
 
-# integral of e^{1 - 1/(1-z^2)} over (-1, 1), times the radius
-NARROW_BUMP_MASS = 0.012069003224378757
+# integral of e^{1 - 1/(1-z^2)} over (-1, 1), and of `bump`
+BUMP_INTEGRAL = 1.2069003224378763
+BUMP_MASS = 2.0 * BUMP_INTEGRAL
 
 
 def test_exponential_integral():
@@ -99,20 +99,6 @@ def test_non_finite_sample_is_reported_with_abscissa():
 
     with pytest.raises(IntegrandEvaluationError, match="u="):
         integrate_semi_infinite(bad)
-
-
-def test_narrow_support_requires_probe_hint():
-    missed = integrate_semi_infinite(narrow_bump)
-    assert missed.value == 0.0
-    found = integrate_semi_infinite(narrow_bump, probe_hints=(6.0,))
-    assert found.converged
-    assert found.value == pytest.approx(NARROW_BUMP_MASS, rel=1e-12)
-
-
-def test_bogus_probe_hints_are_ignored():
-    res = integrate_semi_infinite(gamma_half,
-                                  probe_hints=(-1.0, 0.0, math.inf, 2.0))
-    assert res.value == pytest.approx(SQRT_PI, rel=1e-12)
 
 
 def test_config_validation():
@@ -211,12 +197,10 @@ def test_nan_first_drawn_in_a_tail_block_is_reported():
     assert exc.value.abscissa == target
 
 
-@pytest.mark.parametrize("integrand, hints", [
-    (gamma_half, ()), (signed, ()), (narrow_bump, (6.0,)),
-])
-def test_evaluations_count_every_abscissa(integrand, hints):
+@pytest.mark.parametrize("integrand", [gamma_half, signed, bump])
+def test_evaluations_count_every_abscissa(integrand):
     rec = _Recorder(integrand)
-    res = integrate_semi_infinite(rec, probe_hints=hints)
+    res = integrate_semi_infinite(rec)
     assert res.evaluations == sum(u.size for u in rec.calls)
 
 
@@ -227,7 +211,6 @@ def test_tail_found_warm_after_halving_is_extended():
     # only if the warm tail is pushed further out.
     amp, half_width = 0.2, 0.2
     centers = (4.75, 5.25)
-    bump_mass = NARROW_BUMP_MASS / 0.01
 
     def integrand(u):
         t = np.log(u)
@@ -242,7 +225,7 @@ def test_tail_found_warm_after_halving_is_extended():
 
     res = integrate_semi_infinite(integrand)
     assert res.converged
-    exact = 1.0 + len(centers) * amp * half_width * bump_mass
+    exact = 1.0 + len(centers) * amp * half_width * BUMP_INTEGRAL
     assert res.value == pytest.approx(exact, rel=1e-9)
 
 
@@ -261,7 +244,7 @@ def test_tail_at_the_log_u_cap_is_not_extended_past_it():
 # -- k components in lockstep -------------------------------------------------
 
 _ONE_ROW = {"exp_decay": exp_decay, "gamma_half": gamma_half, "signed": signed,
-            "narrow_bump": narrow_bump}
+            "bump": bump}
 
 
 def _rows_of(integrands):
@@ -298,13 +281,12 @@ def test_each_component_is_its_own_scalar_integral():
     def zero(u):
         return np.zeros_like(u), np.full_like(u, -np.inf)
 
-    names = ["gamma_half", "narrow_bump", "signed", "exp_decay"]
+    names = ["gamma_half", "bump", "signed", "exp_decay"]
     integrands = [_ONE_ROW[n] for n in names] + [zero]
-    batch = integrate_semi_infinite_batch(_rows_of(integrands), len(integrands),
-                                          probe_hints=(6.0,))
+    batch = integrate_semi_infinite_batch(_rows_of(integrands), len(integrands))
     for integrand, res in zip(integrands, batch):
-        assert res == integrate_semi_infinite(integrand, probe_hints=(6.0,))
-    assert batch[1].value == pytest.approx(NARROW_BUMP_MASS, rel=1e-12)
+        assert res == integrate_semi_infinite(integrand)
+    assert batch[1].value == pytest.approx(BUMP_MASS, rel=1e-12)
     assert batch[-1] == batch[-1].__class__(0.0, 0.0, batch[-1].evaluations, True)
 
 
@@ -313,10 +295,9 @@ def test_components_converge_and_stop_on_their_own():
     # refining while the fast one is frozen, and only the slow one may
     # miss a small refinement budget
     cfg = QuadratureConfig(rel_tol=1e-12, max_refinement_depth=2)
-    integrands = [exp_decay, _ONE_ROW["narrow_bump"]]
-    batch = integrate_semi_infinite_batch(_rows_of(integrands), 2, cfg,
-                                          probe_hints=(6.0,))
-    alone = [integrate_semi_infinite(f, cfg, probe_hints=(6.0,)) for f in integrands]
+    integrands = [exp_decay, _ONE_ROW["bump"]]
+    batch = integrate_semi_infinite_batch(_rows_of(integrands), 2, cfg)
+    alone = [integrate_semi_infinite(f, cfg) for f in integrands]
     assert batch == alone
     assert batch[0].evaluations != batch[1].evaluations
 

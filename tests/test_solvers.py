@@ -447,6 +447,9 @@ class TestSolveGrid:
             SolveRequest(problem="oscillator",
                          data=InitialData.gaussian(0.0, 1.0),
                          y_levels=(1.0,), spatial_points=(0.0,))  # no a
+        with pytest.raises(ValueError, match="takes no parameter a"):
+            SolveRequest(problem="dirac", data=data, y_levels=(1.0,),
+                         spatial_points=(0.0,), a=1.0)
 
     def test_failed_cell_is_flagged_not_fatal(self, monkeypatch):
         real = solvers.solve_dirac
