@@ -44,7 +44,7 @@ from .kernels import (
     mehler_heat_kernel,
     oscillator_poisson_kernel_batch,
 )
-from .numerics import finite_real, positive_real
+from .numerics import finite_real
 from .oracles import boundary_limit_gap, limit_a_to_zero_gap
 from .quadrature import IntegrandEvaluationError, NonConvergenceError, QuadratureConfig
 from .solvers import PROBLEMS, InitialData, SolveRequest, solve_grid
@@ -54,8 +54,24 @@ __all__ = ["main"]
 
 _ENV_REL_TOL = "POISSONLINE_REL_TOL"
 
-_KERNELS = ("dirac", "euler", "oscillator", "mehler", "halfplane")
-_NEEDS_A = {"euler", "oscillator", "mehler"}
+# The options that vary with the kernel and with the limit study: per
+# kernel or study, the options (by dest) that it takes, with their
+# defaults.  An option of a table that the chosen kernel or study does not
+# take is rejected, whether it came from the command line or a config file.
+_REQUIRED = object()
+_KERNEL_OPTIONS = {
+    "dirac": {"y": _REQUIRED},
+    "euler": {"y": _REQUIRED, "a": _REQUIRED},
+    "oscillator": {"y": _REQUIRED, "a": _REQUIRED},
+    "mehler": {"t": _REQUIRED, "a": _REQUIRED},
+    "halfplane": {"y": _REQUIRED},
+}
+_STUDY_OPTIONS = {
+    "a-to-zero": {"y": 1.0, "target": 0.3, "source": -0.2,
+                  "a_seq": "1e-1,1e-2,1e-3"},
+    "boundary": {"problem": _REQUIRED, "data": "gaussian:0,1", "a": None,
+                 "y_seq": "0.2,0.1,0.05", "points": None},
+}
 
 _DEFAULT_BOUNDARY_POINTS = {
     "dirac": (-1.0, -0.5, 0.0, 0.5, 1.0),
@@ -63,16 +79,13 @@ _DEFAULT_BOUNDARY_POINTS = {
     "oscillator": (-0.8, 0.0, 0.6),
 }
 
-# config-file keys accepted per command (long option names)
-_CONFIG_KEYS = {
-    "kernel": {"kernel", "a", "y", "t", "target", "source", "target-grid",
-               "source-grid", "rel-tol", "format", "output"},
-    "solve": {"problem", "data", "a", "y", "y-grid", "target", "target-grid",
-              "rel-tol", "format", "output"},
-    "verify": {"suite", "oscillator-prefactor-scale", "tolerance-override",
-               "rel-tol", "format", "output"},
-    "limit": {"study", "problem", "data", "a", "y", "target", "source",
-              "a-seq", "y-seq", "points", "rel-tol", "format", "output"},
+# argument types of the data presets that take them inline
+_PRESET_ARGS = {
+    "gaussian": (float, float),
+    "bump": (float, float),
+    "exponential": (float,),
+    "power": (float,),
+    "eigenfunction": (int,),
 }
 
 
@@ -80,20 +93,13 @@ class _InputError(Exception):
     """Invalid input detected after argument parsing; maps to exit 2."""
 
 
-def _fmt(v) -> str:
+def _fmt(v, fmt: str) -> str:
+    """One record field as text in output format `fmt`."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".17g")
-    return str(v)
-
-
-def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    if isinstance(v, str):
+    if isinstance(v, str) and fmt == "json":
         return json.dumps(v)
     return str(v)
 
@@ -104,11 +110,11 @@ def _render(records: list[dict], columns: Sequence[str], fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for rec in records:
-            writer.writerow([_fmt(rec[c]) for c in columns])
+            writer.writerow([_fmt(rec[c], fmt) for c in columns])
         return buf.getvalue()
     lines = ["["]
     for i, rec in enumerate(records):
-        body = ", ".join(f"{json.dumps(c)}: {_json_value(rec[c])}"
+        body = ", ".join(f"{json.dumps(c)}: {_fmt(rec[c], fmt)}"
                          for c in columns)
         comma = "," if i + 1 < len(records) else ""
         lines.append("  {" + body + "}" + comma)
@@ -185,43 +191,54 @@ def _parse_data(descriptor: str) -> InitialData:
     if not sep:
         raise _InputError(
             f"data descriptor must be kind:params, got {descriptor!r}")
+    if kind == "sampled":
+        return _load_sampled(rest)
+    if kind not in _PRESET_ARGS:
+        raise _InputError(f"unknown data kind {kind!r}; choose "
+                          f"{', '.join(_PRESET_ARGS)}, or sampled")
+    types, params = _PRESET_ARGS[kind], rest.split(",")
     try:
-        if kind == "gaussian":
-            center, width = (float(p) for p in rest.split(","))
-            return InitialData.gaussian(center, width)
-        if kind == "bump":
-            center, radius = (float(p) for p in rest.split(","))
-            return InitialData.bump(center, radius)
-        if kind == "exponential":
-            return InitialData.exponential(float(rest))
-        if kind == "power":
-            return InitialData.power(float(rest))
-        if kind == "eigenfunction":
-            return InitialData.eigenfunction(int(rest))
-        if kind == "sampled":
-            return _load_sampled(rest)
-    except _InputError:
-        raise
+        if len(params) != len(types):
+            raise ValueError(f"{kind} takes {len(types)} parameter(s)")
+        return getattr(InitialData, kind)(*(t(p) for t, p in zip(types, params)))
     except (ValueError, TypeError) as exc:
         raise _InputError(f"bad data descriptor {descriptor!r}: {exc}") from None
-    raise _InputError(
-        f"unknown data kind {kind!r}; choose gaussian, bump, exponential, "
-        "power, eigenfunction, or sampled")
 
 
 def _quad_config(ns) -> QuadratureConfig:
     rel_tol = ns.rel_tol
     if rel_tol is None:
         raw = os.environ.get(_ENV_REL_TOL)
-        if raw is not None:
-            try:
-                rel_tol = float(raw)
-            except ValueError:
-                raise _InputError(
-                    f"{_ENV_REL_TOL} must be a float, got {raw!r}") from None
-        else:
-            rel_tol = 1e-10
+        if raw is None:
+            return QuadratureConfig()
+        try:
+            rel_tol = float(raw)
+        except ValueError:
+            raise _InputError(
+                f"{_ENV_REL_TOL} must be a float, got {raw!r}") from None
     return QuadratureConfig(rel_tol=float(rel_tol))
+
+
+def _options(ns, selector: str, table: dict) -> dict:
+    """The options, by dest, that the kernel or study named by the option
+    `selector` of `ns` takes, with the defaults of `table` applied.
+
+    Raises _InputError for a name not in `table`, for an option of `table`
+    that the named kernel or study does not take but `ns` sets, and for a
+    required option that `ns` leaves unset.
+    """
+    key = getattr(ns, selector)
+    if key not in table:
+        raise _InputError(f"--{selector} must be one of {', '.join(table)}")
+    takes, what = table[key], f"the {key} {selector}"
+    for dest in dict.fromkeys(d for options in table.values() for d in options):
+        flag, value = "--" + dest.replace("_", "-"), getattr(ns, dest)
+        if dest not in takes and value is not None:
+            raise _InputError(f"{flag} does not apply to {what}")
+        if takes.get(dest) is _REQUIRED and value is None:
+            raise _InputError(f"{flag} is required for {what}")
+    return {dest: default if getattr(ns, dest) is None else getattr(ns, dest)
+            for dest, default in takes.items()}
 
 
 def _resolve_axis(scalar, grid_spec, name: str) -> list[float]:
@@ -238,37 +255,15 @@ def _resolve_axis(scalar, grid_spec, name: str) -> list[float]:
 
 def _run_kernel(ns) -> int:
     cfg = _quad_config(ns)
+    opts = _options(ns, "kernel", _KERNEL_OPTIONS)
     kernel = ns.kernel
-    if kernel not in _KERNELS:
-        raise _InputError(f"--kernel must be one of {', '.join(_KERNELS)}")
-    if kernel in _NEEDS_A:
-        if ns.a is None:
-            raise _InputError(f"--a is required for the {kernel} kernel")
-        param = OscillatorParam(positive_real(ns.a, "--a"))
-    else:
-        if ns.a is not None:
-            raise _InputError(f"--a does not apply to the {kernel} kernel")
-        param = None
-    if kernel == "mehler":
-        if ns.y is not None:
-            raise _InputError("the mehler heat kernel takes --t, not --y")
-        if ns.t is None:
-            raise _InputError("--t is required for the mehler kernel")
-        level = positive_real(ns.t, "--t")
-    else:
-        if ns.t is not None:
-            raise _InputError("--t applies only to the mehler kernel")
-        if ns.y is None:
-            raise _InputError("--y is required")
-        level = positive_real(ns.y, "--y")
-
+    # the kernels check their own arguments, and the euler kernel raises
+    # DegenerateCharacteristicError (a ValueError) on the invariant line,
+    # before any record is written
+    level = opts["t" if kernel == "mehler" else "y"]
+    param = OscillatorParam(opts["a"]) if "a" in opts else None
     targets = _resolve_axis(ns.target, ns.target_grid, "target")
     sources = _resolve_axis(ns.source, ns.source_grid, "source")
-    if kernel == "euler":
-        for v in targets + sources:
-            if v == 0.0:
-                raise _InputError(
-                    "euler kernel arguments must avoid the invariant line 0")
 
     records = []
     all_converged = True
@@ -302,8 +297,6 @@ def _run_kernel(ns) -> int:
 
 def _run_solve(ns) -> int:
     cfg = _quad_config(ns)
-    if ns.problem not in PROBLEMS:
-        raise _InputError(f"--problem must be one of {', '.join(PROBLEMS)}")
     if ns.data is None:
         raise _InputError("--data is required")
     data = _parse_data(ns.data)
@@ -328,15 +321,9 @@ def _run_solve(ns) -> int:
 
 def _run_verify(ns) -> int:
     cfg = _quad_config(ns)
-    if ns.suite is None:
-        raise _InputError(f"--suite must be one of {', '.join(suite_names())}")
-    scale = positive_real(ns.oscillator_prefactor_scale,
-                          "--oscillator-prefactor-scale")
-    override = ns.tolerance_override
-    if override is not None:
-        override = positive_real(override, "--tolerance-override")
-    reports = run_suite(ns.suite, cfg, prefactor_scale=scale,
-                        tolerance_override=override)
+    reports = run_suite(ns.suite, cfg,
+                        prefactor_scale=ns.oscillator_prefactor_scale,
+                        tolerance_override=ns.tolerance_override)
     records = [{
         "check_name": r.check_name, "measured": r.measured,
         "tolerance": r.tolerance, "passed": r.passed,
@@ -348,30 +335,24 @@ def _run_verify(ns) -> int:
 
 def _run_limit(ns) -> int:
     cfg = _quad_config(ns)
-    if ns.study not in ("a-to-zero", "boundary"):
-        raise _InputError("--study must be a-to-zero or boundary")
-    if ns.study == "a-to-zero":
-        y = positive_real(ns.y if ns.y is not None else 1.0, "--y")
-        target = float(ns.target) if ns.target is not None else 0.3
-        source = float(ns.source) if ns.source is not None else -0.2
-        seq = _parse_seq(ns.a_seq, "--a-seq")
-        report = limit_a_to_zero_gap(y, target, source, seq, cfg)
+    opts = _options(ns, "study", _STUDY_OPTIONS)
+    study = ns.study
+    if study == "a-to-zero":
+        seq = _parse_seq(opts["a_seq"], "--a-seq")
+        report = limit_a_to_zero_gap(opts["y"], opts["target"], opts["source"],
+                                     seq, cfg)
         params = report.context["a_sequence"]
-        study = "a-to-zero"
     else:
-        if ns.problem not in PROBLEMS:
-            raise _InputError("--problem is required for the boundary study "
-                              f"and must be one of {', '.join(PROBLEMS)}")
-        data = _parse_data(ns.data)
-        seq = _parse_seq(ns.y_seq, "--y-seq")
-        if ns.points is not None:
-            points = _parse_seq(ns.points, "--points")
+        problem = opts["problem"]
+        data = _parse_data(opts["data"])
+        seq = _parse_seq(opts["y_seq"], "--y-seq")
+        if opts["points"] is not None:
+            points = _parse_seq(opts["points"], "--points")
         else:
-            points = list(_DEFAULT_BOUNDARY_POINTS[ns.problem])
-        report = boundary_limit_gap(ns.problem, data, seq, points, a=ns.a,
+            points = _DEFAULT_BOUNDARY_POINTS[problem]
+        report = boundary_limit_gap(problem, data, seq, points, a=opts["a"],
                                     cfg=cfg)
         params = report.context["y_sequence"]
-        study = "boundary"
     gaps = report.context["gaps"]
     records = [{
         "study": study, "step": i, "parameter": p, "gap": g,
@@ -391,14 +372,15 @@ def _add_common(sub) -> None:
     sub.add_argument("--output", default=None, metavar="PATH",
                      help="output file (default stdout)")
     sub.add_argument("--rel-tol", type=float, default=None, metavar="TOL",
-                     help="quadrature relative tolerance (default 1e-10, "
-                          f"or ${_ENV_REL_TOL})")
+                     help="quadrature relative tolerance (default "
+                          f"{QuadratureConfig.rel_tol:g}, or ${_ENV_REL_TOL})")
     sub.add_argument("--config", default=None, metavar="PATH",
                      help="flat key=value file supplying defaults for any "
                           "long option of this command")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and the subparser of each command by name."""
     parser = argparse.ArgumentParser(
         prog="poissonline",
         description="Poisson-type extension kernels on the line: evaluate, "
@@ -411,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "on the outer axis.  Columns: level (y, or t for the "
                     "mehler heat kernel), target, source, value, "
                     "error_estimate, converged.")
-    k.add_argument("--kernel", choices=_KERNELS, default=None)
+    k.add_argument("--kernel", choices=tuple(_KERNEL_OPTIONS), default=None)
     k.add_argument("--a", type=float, default=None,
                    help="frequency (euler, oscillator, mehler)")
     k.add_argument("--y", type=float, default=None, help="boundary distance")
@@ -468,34 +450,40 @@ def _build_parser() -> argparse.ArgumentParser:
                     "boundary: solution against its datum along a "
                     "decreasing height sequence.  Columns: study, step, "
                     "parameter, gap.  Exit 0 only if the study passed.")
-    li.add_argument("--study", choices=("a-to-zero", "boundary"),
-                    default=None)
+    zero, bound = _STUDY_OPTIONS["a-to-zero"], _STUDY_OPTIONS["boundary"]
+    li.add_argument("--study", choices=tuple(_STUDY_OPTIONS), default=None)
     li.add_argument("--problem", choices=tuple(PROBLEMS), default=None,
                     help="boundary study problem")
-    li.add_argument("--data", default="gaussian:0,1", metavar="KIND:PARAMS",
-                    help="boundary study datum (default gaussian:0,1)")
+    li.add_argument("--data", default=None, metavar="KIND:PARAMS",
+                    help=f"boundary study datum (default {bound['data']})")
     li.add_argument("--a", type=float, default=None,
                     help="frequency for euler/oscillator boundary study")
     li.add_argument("--y", type=float, default=None,
-                    help="a-to-zero boundary distance (default 1)")
+                    help=f"a-to-zero boundary distance (default {zero['y']:g})")
     li.add_argument("--target", type=float, default=None,
-                    help="a-to-zero target (default 0.3)")
+                    help=f"a-to-zero target (default {zero['target']:g})")
     li.add_argument("--source", type=float, default=None,
-                    help="a-to-zero source (default -0.2)")
-    li.add_argument("--a-seq", default="1e-1,1e-2,1e-3", metavar="LIST",
-                    help="decreasing frequency sequence")
-    li.add_argument("--y-seq", default="0.2,0.1,0.05", metavar="LIST",
-                    help="decreasing height sequence")
+                    help=f"a-to-zero source (default {zero['source']:g})")
+    li.add_argument("--a-seq", default=None, metavar="LIST",
+                    help="a-to-zero decreasing frequency sequence (default "
+                         f"{zero['a_seq']})")
+    li.add_argument("--y-seq", default=None, metavar="LIST",
+                    help="boundary study decreasing height sequence (default "
+                         f"{bound['y_seq']})")
     li.add_argument("--points", default=None, metavar="LIST",
                     help="boundary study spatial points (defaults per "
                          "problem)")
     _add_common(li)
     li.set_defaults(func=_run_limit)
-    return parser
+    return parser, subs.choices
 
 
-def _load_config(path: str, command: str) -> dict:
-    allowed = _CONFIG_KEYS[command]
+def _load_config(path: str, ns) -> dict:
+    """The key=value lines of a config file, by dest; the keys are the
+    long options of the command whose parsed namespace is `ns`."""
+    command = ns.command
+    allowed = ({dest.replace("_", "-") for dest in vars(ns)}
+               - {"command", "func", "config"})
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -520,17 +508,15 @@ def _load_config(path: str, command: str) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
+    parser, commands = _build_parser()
     ns = parser.parse_args(argv)
     try:
         if ns.config is not None:
-            defaults = _load_config(ns.config, ns.command)
+            defaults = _load_config(ns.config, ns)
             # reparse so that explicit flags still win over config values;
             # argparse applies each option's type converter to string
             # defaults, so the config file needs no typing of its own
-            sub = next(a for a in parser._subparsers._group_actions
-                       if isinstance(a, argparse._SubParsersAction))
-            sub.choices[ns.command].set_defaults(**defaults)
+            commands[ns.command].set_defaults(**defaults)
             ns = parser.parse_args(argv)
         return ns.func(ns)
     except (_InputError, ValueError) as exc:

@@ -169,12 +169,15 @@ def dirac_kernel(p: EvaluationPoint) -> KernelValue:
     log-domain form is used.
     """
     s = p.source - p.target
-    if s <= 0.0:
+    # off the support, and where 4 s overflows: there P <= 0.24 / s is
+    # below the normal range
+    if not 0.0 < 4.0 * s < math.inf:
         return KernelValue(0.0, 0.0)
     y = p.y
     q = y * y / (4.0 * s)
     if q < 708.0:
-        prefactor = y / (_TWO_SQRT_PI * s * math.sqrt(s))
+        denominator = _TWO_SQRT_PI * s * math.sqrt(s)
+        prefactor = y / denominator if denominator else math.inf
         if _MIN_NORMAL <= prefactor < math.inf:
             return KernelValue(prefactor * _exp_neg_gap_ratio(y, s, q), 0.0)
     return KernelValue(_exp(float(_log_stable_half_density(y, s))), 0.0)
@@ -206,7 +209,8 @@ def euler_kernel(p: EvaluationPoint, a: OscillatorParam) -> KernelValue:
     if rp >= r:
         return KernelValue(0.0, 0.0)
     aa = a.a
-    log_ratio = math.log1p((r - rp) / rp)
+    ratio = (r - rp) / rp
+    log_ratio = math.log1p(ratio) if ratio < math.inf else math.log(r) - math.log(rp)
     logv = (0.5 * (math.log(aa) - _LOG_2PI) + math.log(p.y) - math.log(rp)
             - 1.5 * math.log(log_ratio) - aa * p.y * p.y / (2.0 * log_ratio))
     return KernelValue(_exp(logv), 0.0)
@@ -224,9 +228,17 @@ def _mehler_log(t, x, xp, a):
     s is small, and evaluates sinh/coth/tanh through expm1 so that both
     s -> 0 and s -> inf are handled without overflow.
     """
-    dx = x - xp
     return _mehler_log_terms(t, a, 0.5 * (np.log(a) - _LOG_2PI),
-                             0.5 * a * dx * dx, a * x * xp)
+                             _spread(a, x, xp), a * x * xp)
+
+
+def _spread(a: float, x: float, xp: float) -> float:
+    """(a/2) (x - x')^2.  The Mehler exponent spread coth(s) + a x x' tanh(s/2)
+    exceeds spread / 2 (a x x' >= -spread / 2, coth(s) - tanh(s/2) / 2 > 1/2),
+    so where the spread is +inf the heat kernel, and every kernel subordinated
+    from it, is 0.0, while the terms of `_mehler_log` would meet as inf - inf.
+    """
+    return 0.5 * a * (x - xp) * (x - xp)
 
 
 def _mehler_log_terms(t, a, log_norm, spread, product):
@@ -249,11 +261,14 @@ def mehler_heat_kernel(t: float, x: float, xp: float,
                       exp(-(a/2)(x^2 + x'^2) coth(2at) + a x x' / sinh(2at))
 
     evaluated in the log domain.  As a -> 0 it approaches the Gaussian
-    heat kernel (4 pi t)^{-1/2} exp(-(x - x')^2 / (4t)).
+    heat kernel (4 pi t)^{-1/2} exp(-(x - x')^2 / (4t)).  Where the spread
+    (a/2)(x - x')^2 overflows the value is exactly 0.0 (see `_spread`).
     """
     t = positive_real(t, "t")
     x = finite_real(x, "x")
     xp = finite_real(xp, "xp")
+    if _spread(a.a, x, xp) == math.inf:
+        return KernelValue(0.0, 0.0)
     return KernelValue(_exp(float(_mehler_log(t, x, xp, a.a))), 0.0)
 
 
@@ -297,8 +312,9 @@ def oscillator_poisson_kernel_batch(y: float, targets, sources,
     tail cuts, convergence test, error estimate and flag: nothing is
     pooled, and each value is the one the single-pair call returns.
     Returns one KernelValue per pair, in order; an empty batch gives [].
-    Mismatched lengths, or a target or source that is not a finite real
-    number, raise ValueError.
+    A pair whose Mehler spread (a/2)(x - x')^2 overflows is exactly 0.0
+    (see `_spread`) and is not integrated.  Mismatched lengths, or a target
+    or source that is not a finite real number, raise ValueError.
     """
     y = positive_real(y, "y")
     xs = [finite_real(v, "target") for v in targets]
@@ -306,19 +322,18 @@ def oscillator_poisson_kernel_batch(y: float, targets, sources,
     if len(xs) != len(xps):
         raise ValueError(f"got {len(xs)} targets but {len(xps)} sources")
     scale = positive_real(prefactor_scale, "prefactor_scale")
-    if cfg is None:
-        cfg = QuadratureConfig()
     aa = a.a
     q = 0.25 * y * y
     log_norm = 0.5 * (np.log(aa) - _LOG_2PI)
     c = scale * y / (2.0 * _SQRT_PI)
-    values = []
-    for start in range(0, len(xs), _BATCH_PAIRS):
-        pairs = list(zip(xs[start:start + _BATCH_PAIRS],
-                         xps[start:start + _BATCH_PAIRS]))
-        spread = [0.5 * aa * (x - xp) * (x - xp) for x, xp in pairs]
-        product = [aa * x * xp for x, xp in pairs]
-        if len(pairs) == 1:     # one pair: its terms broadcast over any rows
+    spreads = [_spread(aa, x, xp) for x, xp in zip(xs, xps)]
+    values = [KernelValue(0.0, 0.0) if v == math.inf else None for v in spreads]
+    live = [i for i, v in enumerate(values) if v is None]
+    for start in range(0, len(live), _BATCH_PAIRS):
+        chunk = live[start:start + _BATCH_PAIRS]
+        spread = [spreads[i] for i in chunk]
+        product = [aa * xs[i] * xps[i] for i in chunk]
+        if len(chunk) == 1:     # one pair: its terms broadcast over any rows
             spread, product = spread[0], product[0]
         else:
             spread, product = np.array(spread)[:, None], np.array(product)[:, None]
@@ -329,9 +344,10 @@ def oscillator_poisson_kernel_batch(y: float, targets, sources,
             return (np.ones_like(u), -1.5 * np.log(u) - q / u
                     + _mehler_log_terms(u, aa, log_norm, spread, product))
 
-        values.extend(
-            KernelValue(c * res.value, c * res.error_estimate, res.converged)
-            for res in integrate_semi_infinite_batch(integrand, len(pairs), cfg))
+        for i, res in zip(chunk, integrate_semi_infinite_batch(
+                integrand, len(chunk), cfg)):
+            values[i] = KernelValue(c * res.value, c * res.error_estimate,
+                                    res.converged)
     return values
 
 
@@ -339,7 +355,12 @@ def halfplane_poisson_kernel(p: EvaluationPoint) -> KernelValue:
     """Classical half-plane Poisson kernel (1/pi) y / (y^2 + (x - x')^2).
 
     This is the a -> 0 limit of `oscillator_poisson_kernel` at fixed
-    (y, x, x').
+    (y, x, x').  Where y^2 + (x - x')^2 is not a normal float, or pi times
+    it overflows, the value is taken as (y / h) / h / pi, h = hypot(y, x - x').
     """
     dx = p.target - p.source
-    return KernelValue(p.y / (math.pi * (p.y * p.y + dx * dx)), 0.0)
+    square = p.y * p.y + dx * dx
+    if square >= _MIN_NORMAL and math.pi * square < math.inf:
+        return KernelValue(p.y / (math.pi * square), 0.0)
+    h = math.hypot(p.y, dx)
+    return KernelValue(p.y / h / h / math.pi, 0.0)

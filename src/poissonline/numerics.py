@@ -8,8 +8,9 @@
   recurrence (`hermite_all`, `hermite_function`).
 * A not-a-knot cubic interpolating spline in plain numpy
   (`not_a_knot_spline`).
-* The checks of real arguments that every other module shares: a finite
-  real (`finite_real`) and a positive finite real (`positive_real`).
+* The checks of arguments that every other module shares: a finite real
+  (`finite_real`), a positive finite real (`positive_real`) and a
+  nonnegative integer (`nonnegative_int`).
 
 None of these depend on the kernels, the quadrature or the verification
 layer, so every other module may import them.
@@ -30,6 +31,7 @@ __all__ = [
     "hermite_all",
     "hermite_function",
     "leggauss",
+    "nonnegative_int",
     "not_a_knot_spline",
     "positive_real",
     "split_panels",
@@ -88,6 +90,13 @@ def positive_real(value, name: str) -> float:
             or not 0.0 < value < math.inf):
         raise ValueError(f"{name} must be a positive finite real, got {value!r}")
     return float(value)
+
+
+def nonnegative_int(value, name: str) -> int:
+    """`value`, if it is an int >= 0 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -190,9 +199,7 @@ def hermite_function(n: int, a: float, x):
     phi_n has eigenvalue (2n + 1) a and unit L2 norm; phi_0(0) = (a/pi)^{1/4}.
     Accepts scalar or array x and returns a matching float or array.
     """
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    values = hermite_all(n, positive_real(a, "a"), x)[n]
+    values = hermite_all(nonnegative_int(n, "n"), positive_real(a, "a"), x)[n]
     if np.ndim(x) == 0:
         return float(values)
     return values

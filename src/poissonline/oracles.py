@@ -22,11 +22,10 @@ from .kernels import (
     dirac_kernel,
     euler_kernel,
     halfplane_poisson_kernel,
-    mehler_heat_kernel,
     oscillator_poisson_kernel,
 )
 from . import solvers
-from .numerics import hermite_all, hermite_function, positive_real
+from .numerics import hermite_all, hermite_function, nonnegative_int, positive_real
 from .quadrature import NonConvergenceError, QuadratureConfig
 from .solvers import PROBLEMS, SolveRequest
 
@@ -73,9 +72,8 @@ class SpectralConfig:
     a: float
 
     def __post_init__(self):
-        if not (isinstance(self.n_max, int) and not isinstance(self.n_max, bool)
-                and self.n_max >= 1):
-            raise ValueError(f"n_max must be a positive integer, got {self.n_max!r}")
+        if nonnegative_int(self.n_max, "n_max") == 0:
+            raise ValueError("n_max must be a positive integer, got 0")
         object.__setattr__(self, "a", positive_real(self.a, "a"))
 
 
@@ -136,42 +134,35 @@ def poisson_tail_bound(y: float, sc: SpectralConfig) -> float:
     return _PHI_SUP ** 2 * math.sqrt(sc.a) * weight * math.exp(-y * s0)
 
 
-def required_poisson_order(y: float, a: float, tol: float) -> int:
-    """Smallest n_max whose Poisson tail bound is below tol."""
+def _required_order(tail_bound: Callable[[int], float], tol: float,
+                    where: str) -> int:
+    """Smallest n_max with tail_bound(n_max) <= tol: doubling, then bisection."""
     n = 1
-    while poisson_tail_bound(y, SpectralConfig(n, a)) > tol:
+    while tail_bound(n) > tol:
         n *= 2
         if n > 4_000_000:
             raise InsufficientOrderError(
-                f"no practical truncation certifies tol={tol} at y={y}, a={a}"
-            )
+                f"no practical truncation certifies tol={tol} at {where}")
     lo, hi = n // 2, n
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if poisson_tail_bound(y, SpectralConfig(mid, a)) > tol:
+        if tail_bound(mid) > tol:
             lo = mid
         else:
             hi = mid
     return hi
+
+
+def required_poisson_order(y: float, a: float, tol: float) -> int:
+    """Smallest n_max whose Poisson tail bound is below tol."""
+    return _required_order(lambda n: poisson_tail_bound(y, SpectralConfig(n, a)),
+                           tol, f"y={y}, a={a}")
 
 
 def required_heat_order(t: float, a: float, tol: float) -> int:
     """Smallest n_max whose heat tail bound is below tol."""
-    n = 1
-    while heat_tail_bound(t, SpectralConfig(n, a)) > tol:
-        n *= 2
-        if n > 4_000_000:
-            raise InsufficientOrderError(
-                f"no practical truncation certifies tol={tol} at t={t}, a={a}"
-            )
-    lo, hi = n // 2, n
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if heat_tail_bound(t, SpectralConfig(mid, a)) > tol:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _required_order(lambda n: heat_tail_bound(t, SpectralConfig(n, a)),
+                           tol, f"t={t}, a={a}")
 
 
 class _MpTerms:
@@ -355,8 +346,7 @@ def spectral_poisson_kernel(y: float, x: float, xp: float, sc: SpectralConfig,
 
 def pde_residual(operator: str, fieldfn: Callable[[float, float], float],
                  y: float, x: float, st: StencilConfig | None = None,
-                 a: float | None = None, tolerance: float = 1e-5,
-                 check_name: str | None = None) -> VerificationReport:
+                 a: float | None = None, tolerance: float = 1e-5) -> VerificationReport:
     """Relative central-difference defect of (Op + d^2/dy^2) field = 0.
 
     Parameters
@@ -406,14 +396,13 @@ def pde_residual(operator: str, fieldfn: Callable[[float, float], float],
         spatial = d2x - (a * a) * (x * x) * f0
 
     residual = abs(spatial + d2y) / (abs(f0) + np.finfo(float).eps)
-    name = check_name or f"pde-residual-{operator}"
-    return make_report(name, residual, tolerance,
+    return make_report(f"pde-residual-{operator}", residual, tolerance,
                        operator=operator, y=y, x=x, h_y=st.h_y, h_x=st.h_x)
 
 
 def kernel_field(operator: str, source: float, a: float | None = None,
-                 cfg: QuadratureConfig | None = None,
-                 prefactor_scale: float = 1.0) -> Callable[[float, float], float]:
+                 cfg: QuadratureConfig | None = None
+                 ) -> Callable[[float, float], float]:
     """The kernel itself as a field (y, target) -> value, source held fixed."""
     if operator == "dirac":
         return lambda y, x: dirac_kernel(EvaluationPoint(y, x, source)).value
@@ -423,8 +412,7 @@ def kernel_field(operator: str, source: float, a: float | None = None,
     if operator == "oscillator":
         pa = OscillatorParam(a)
         return lambda y, x: oscillator_poisson_kernel(
-            EvaluationPoint(y, x, source), pa, cfg,
-            prefactor_scale=prefactor_scale).value
+            EvaluationPoint(y, x, source), pa, cfg).value
     raise ValueError(f"operator must be one of {tuple(PROBLEMS)}, got {operator!r}")
 
 

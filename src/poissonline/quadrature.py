@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
-from .numerics import positive_real
+from .numerics import nonnegative_int, positive_real
 
 __all__ = [
     "LogIntegrand",
@@ -581,9 +581,7 @@ def integrate_semi_infinite_batch(integrand: BatchIntegrand, k: int,
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    if k == 0:
+    if nonnegative_int(k, "k") == 0:
         return []
     counts = [0] * k
     results = [None] * k
@@ -636,6 +634,29 @@ def integrate_semi_infinite(integrand: LogIntegrand,
     return integrate_semi_infinite_batch(one_component, 1, cfg)[0]
 
 
+def _subordination_residual(form: str, t: float, lam: float,
+                            cfg: QuadratureConfig | None, power: float,
+                            log_const: float, lhs: float, norm: float) -> float:
+    """|lhs - rhs| / lhs, rhs = (1/norm) integral_0^inf
+    exp(-u t^2 - power log u - lam^2 / (4u) + log_const) du.
+
+    Raises NonConvergenceError when the integral does not converge.
+    """
+    t2 = t * t
+    q = 0.25 * lam * lam
+
+    def integrand(u):
+        return np.ones_like(u), -t2 * u - power * np.log(u) - q / u + log_const
+
+    res = integrate_semi_infinite(integrand, cfg)
+    if not res.converged:
+        raise NonConvergenceError(
+            f"subordination {form} integral did not converge at t={t}, lam={lam}"
+        )
+    rhs = res.value / norm
+    return abs(lhs - rhs) / lhs
+
+
 def subordination_base_residual(t: float, lam: float,
                                 cfg: QuadratureConfig | None = None) -> float:
     """Relative defect of the half-integer-kernel Laplace identity.
@@ -646,24 +667,9 @@ def subordination_base_residual(t: float, lam: float,
 
     and returns |lhs - rhs| / lhs.  Both t and lam must be positive.
     """
-    t = positive_real(t, "t")
-    lam = positive_real(lam, "lam")
-    if cfg is None:
-        cfg = QuadratureConfig()
-    t2 = t * t
-    q = 0.25 * lam * lam
-
-    def integrand(u):
-        return np.ones_like(u), -t2 * u - 0.5 * np.log(u) - q / u
-
-    res = integrate_semi_infinite(integrand, cfg)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"subordination base integral did not converge at t={t}, lam={lam}"
-        )
-    lhs = math.exp(-t * lam) / t
-    rhs = res.value / _SQRT_PI
-    return abs(lhs - rhs) / lhs
+    t, lam = positive_real(t, "t"), positive_real(lam, "lam")
+    return _subordination_residual("base", t, lam, cfg, 0.5, 0.0,
+                                   math.exp(-t * lam) / t, _SQRT_PI)
 
 
 def subordination_derived_residual(t: float, lam: float,
@@ -679,22 +685,6 @@ def subordination_derived_residual(t: float, lam: float,
     semigroup into the corresponding Poisson semigroup; note that the right
     side carries no 1/t factor.
     """
-    t = positive_real(t, "t")
-    lam = positive_real(lam, "lam")
-    if cfg is None:
-        cfg = QuadratureConfig()
-    t2 = t * t
-    q = 0.25 * lam * lam
-    log_lam = math.log(lam)
-
-    def integrand(u):
-        return np.ones_like(u), -t2 * u - 1.5 * np.log(u) - q / u + log_lam
-
-    res = integrate_semi_infinite(integrand, cfg)
-    if not res.converged:
-        raise NonConvergenceError(
-            f"subordination derived integral did not converge at t={t}, lam={lam}"
-        )
-    lhs = math.exp(-t * lam)
-    rhs = res.value / (2.0 * _SQRT_PI)
-    return abs(lhs - rhs) / lhs
+    t, lam = positive_real(t, "t"), positive_real(lam, "lam")
+    return _subordination_residual("derived", t, lam, cfg, 1.5, math.log(lam),
+                                   math.exp(-t * lam), 2.0 * _SQRT_PI)

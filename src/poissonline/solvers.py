@@ -47,6 +47,7 @@ from .numerics import (
     graded_breakpoints,
     hermite_function,
     leggauss,
+    nonnegative_int,
     not_a_knot_spline,
     positive_real,
     split_panels,
@@ -120,7 +121,7 @@ class InitialData:
                                           exponential in the log coordinate
     eigenfunction   n                     phi_n for the oscillator frequency
                                           supplied at evaluation time
-    sampled         grid, values          cubic interpolation through >= 4
+    sampled         grid, values          not-a-knot cubic spline through >= 4
                                           strictly increasing nodes, zero
                                           outside the sampled window
 
@@ -129,12 +130,11 @@ class InitialData:
     """
 
     def __init__(self, kind: str, params: tuple,
-                 fn: Callable, support_fn: Callable, needs_a: bool = False):
+                 fn: Callable, support_fn: Callable):
         self.kind = kind
         self.params = params
         self._fn = fn
         self._support_fn = support_fn
-        self.needs_a = needs_a
 
     @classmethod
     def gaussian(cls, center: float, width: float) -> "InitialData":
@@ -189,8 +189,7 @@ class InitialData:
 
     @classmethod
     def eigenfunction(cls, n: int) -> "InitialData":
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
-            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        n = nonnegative_int(n, "n")
 
         def fn(x, a=None):
             if a is None:
@@ -204,13 +203,10 @@ class InitialData:
             radius = math.sqrt((2 * n + 1) / a) + 12.0 / math.sqrt(a)
             return (-radius, radius)
 
-        return cls("eigenfunction", (n,), fn, support, needs_a=True)
+        return cls("eigenfunction", (n,), fn, support)
 
     @classmethod
-    def sampled(cls, grid: Sequence[float], values: Sequence[float],
-                interpolation: str = "cubic") -> "InitialData":
-        if interpolation != "cubic":
-            raise ValueError(f"unsupported interpolation {interpolation!r}")
+    def sampled(cls, grid: Sequence[float], values: Sequence[float]) -> "InitialData":
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size < 4:
@@ -304,7 +300,7 @@ def _on_window(integrand, lo: float, hi: float):
 
 
 def _gap_integral(datum_at: Callable, y: float, lo: float, hi: float,
-                  cfg: QuadratureConfig, d0: float = 0.0) -> SolveResult:
+                  cfg: QuadratureConfig | None, d0: float = 0.0) -> SolveResult:
     """integral_lo^hi p_y(s) datum_at(s) ds, p_y the stable-1/2 density.
 
     An empty window, hi <= lo, gives (0, 0, converged) without sampling.
@@ -320,6 +316,8 @@ def _gap_integral(datum_at: Callable, y: float, lo: float, hi: float,
     """
     if not hi > lo:
         return SolveResult(0.0, 0.0, True)
+    if cfg is None:
+        cfg = QuadratureConfig()
 
     def integrand(s):
         sign, logmag = _signed_log(np.asarray(datum_at(s), dtype=float) - d0)
@@ -357,8 +355,6 @@ def solve_dirac(data: InitialData, y: float, target: float,
     _check_data("dirac", data)
     y = positive_real(y, "y")
     target = finite_real(target, "target")
-    if cfg is None:
-        cfg = QuadratureConfig()
     lo, hi = 0.0, math.inf
     support = data.exact_support()
     if support is not None:
@@ -392,8 +388,6 @@ def solve_euler(data: InitialData, y: float, target: float, a: float,
         raise DegenerateCharacteristicError(
             "the scaling problem is undefined on the invariant line xi = 0"
         )
-    if cfg is None:
-        cfg = QuadratureConfig()
     r = abs(target)
     X = math.log(r) / (-2.0 * a)
     branch = 1.0 if target > 0 else -1.0

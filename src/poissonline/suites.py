@@ -16,6 +16,7 @@ the suites are expected to catch it (that is what the knob is for).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import product
 from typing import Callable, Sequence
 
@@ -256,9 +257,7 @@ def check_residual_orders(cfg: QuadratureConfig,
     # quadrature noise enters the second difference divided by h^2, so the
     # oscillator kernel field needs a much tighter tolerance than the
     # 2.5e-3 stencil alone would suggest
-    tight = QuadratureConfig(rel_tol=1e-13, abs_tol=cfg.abs_tol,
-                             max_refinement_depth=cfg.max_refinement_depth,
-                             decay_cutoff=cfg.decay_cutoff)
+    tight = replace(cfg, rel_tol=1e-13)
     cases = [
         ("dirac-kernel", "dirac", kernel_field("dirac", source=2.0),
          1.0, 0.5, None),
@@ -507,23 +506,11 @@ def check_boundary_recovery(cfg: QuadratureConfig,
 
 _CheckFn = Callable[[QuadratureConfig, float], "list[VerificationReport]"]
 
-_CHECKS: dict[str, _CheckFn] = {
-    "subordination": check_subordination,
-    "flat-limit": check_flat_limit,
-    "heat-oracle": check_heat_oracle,
-    "poisson-oracle": check_poisson_oracle,
-    "orthonormality": check_orthonormality,
-    "eigen-solutions": check_eigen_solutions,
-    "residual-orders": check_residual_orders,
-    "conservation": check_conservation,
-    "boundary-recovery": check_boundary_recovery,
-}
-
-SUITES: dict[str, tuple] = {
-    "identities": ("subordination", "flat-limit"),
-    "spectral": ("heat-oracle", "poisson-oracle", "orthonormality"),
-    "residuals": ("eigen-solutions", "residual-orders"),
-    "invariants": ("conservation", "boundary-recovery"),
+SUITES: dict[str, tuple[_CheckFn, ...]] = {
+    "identities": (check_subordination, check_flat_limit),
+    "spectral": (check_heat_oracle, check_poisson_oracle, check_orthonormality),
+    "residuals": (check_eigen_solutions, check_residual_orders),
+    "invariants": (check_conservation, check_boundary_recovery),
 }
 
 
@@ -539,22 +526,25 @@ def run_suite(name: str, cfg: QuadratureConfig | None = None,
 
     `tolerance_override` replaces every check's tolerance after the fact;
     it exists so the exit-code contract can be exercised against a bar
-    that nothing can clear (or everything can).
+    that nothing can clear (or everything can).  An unknown suite and a
+    `prefactor_scale` or `tolerance_override` that is not a positive
+    finite real raise ValueError before any check runs.
     """
     if cfg is None:
         cfg = QuadratureConfig()
+    prefactor_scale = positive_real(prefactor_scale, "prefactor_scale")
     if tolerance_override is not None:
         tolerance_override = positive_real(tolerance_override,
                                            "tolerance_override")
     if name == "all":
-        names: Sequence[str] = [c for s in SUITES.values() for c in s]
+        checks: Sequence[_CheckFn] = [c for s in SUITES.values() for c in s]
     elif name in SUITES:
-        names = SUITES[name]
+        checks = SUITES[name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
     reports: list[VerificationReport] = []
-    for check in names:
-        reports.extend(_CHECKS[check](cfg, prefactor_scale))
+    for check in checks:
+        reports.extend(check(cfg, prefactor_scale))
     if tolerance_override is not None:
         reports = [make_report(r.check_name, r.measured, tolerance_override,
                                **r.context) for r in reports]

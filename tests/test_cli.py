@@ -12,6 +12,7 @@ import pytest
 import poissonline.cli as cli
 from poissonline.kernels import EvaluationPoint, OscillatorParam, oscillator_poisson_kernel
 from poissonline.oracles import hermite_function
+from poissonline.quadrature import IntegrandEvaluationError
 from poissonline.solvers import SolutionGrid
 
 
@@ -118,17 +119,30 @@ class TestKernelCommand:
                            "--target", "0", "--source-grid", spec], capsys)
         assert code == 2
 
-    def test_non_finite_integrand_exits_3(self, capsys):
-        # at a = 1e300 the Mehler spread and product overflow and meet as
-        # inf - inf: the quadrature cannot go on, and no record is written
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["kernel", "--kernel", "oscillator", "--a=1e300",
-                             "--y=1", "--target=1e5", "--source=-1e5"])
+    def test_non_finite_integrand_exits_3(self, capsys, monkeypatch):
+        # a quadrature that meets a non-finite sample cannot go on, and no
+        # record is written
+        def fail(*args, **kwargs):
+            raise IntegrandEvaluationError(0.5)
+
+        monkeypatch.setattr(cli, "oscillator_poisson_kernel_batch", fail)
+        code = cli.main(["kernel", "--kernel", "oscillator", "--a=1",
+                         "--y=1", "--target=0", "--source=0"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith(
             "error: non-finite integrand sample")
+
+    def test_overflowing_mehler_spread_gives_zero(self, capsys):
+        # at a = 1e300 the spread (a/2)(x - x')^2 overflows: the kernel is
+        # exactly 0.0 there, and no quadrature is run
+        code, out = run_cli(["kernel", "--kernel", "oscillator", "--a=1e300",
+                             "--y=1", "--target=1e5", "--source=-1e5"], capsys)
+        assert code == 0
+        (rec,) = read_csv(out)
+        assert (rec["value"], rec["error_estimate"], rec["converged"]) == (
+            "0", "0", "true")
 
     def test_single_point_grid(self, capsys):
         code, out = run_cli(["kernel", "--kernel", "halfplane", "--y", "1",
@@ -195,6 +209,10 @@ class TestSolveCommand:
          "--y", "1", "--target", "0"],
         ["solve", "--problem", "dirac", "--a", "1", "--data", "gaussian:0,1",
          "--y", "1", "--target", "0"],  # dirac takes no a
+        ["solve", "--problem", "oscillator", "--a", "1",
+         "--data", "eigenfunction:1.5", "--y", "1", "--target", "0"],
+        ["solve", "--problem", "dirac", "--data", "exponential:1,2",
+         "--y", "1", "--target", "0"],  # one parameter too many
     ])
     def test_invalid_inputs_exit_2(self, args, capsys):
         code, _ = run_cli(args, capsys)
@@ -290,6 +308,26 @@ class TestLimitCommand:
         code, _ = run_cli(["limit", "--study", "boundary"] + args, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--study", "a-to-zero", "--problem", "dirac", "--y-seq", "5,6",
+         "--points", "1"],
+        ["--study", "boundary", "--problem", "dirac", "--a-seq", "1"],
+        ["--study", "boundary", "--problem", "euler", "--a", "1",
+         "--target", "0"],
+    ])
+    def test_options_of_the_other_study_exit_2(self, args, capsys):
+        code, out = run_cli(["limit"] + args, capsys)
+        assert code == 2
+        assert out == ""
+
+    def test_options_of_the_other_study_from_config_exit_2(self, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("y-seq=0.3,0.2\n")
+        code, _ = run_cli(["limit", "--study", "a-to-zero", "--config",
+                           str(cfg)], capsys)
+        assert code == 2
+
 
 class TestOutputPlumbing:
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -323,6 +361,49 @@ class TestOutputPlumbing:
                              "csv"], capsys)
         assert code == 0
         assert out.startswith("check_name,")
+
+    # per command: arguments of a valid run, and a config value for each of
+    # its long options (the arguments win over the config values)
+    _CONFIG_CASES = {
+        "kernel": (["--kernel", "halfplane", "--y", "1", "--target", "0",
+                    "--source", "0"],
+                   {"kernel": "halfplane", "a": "1", "y": "1", "t": "0.5",
+                    "target": "0", "target-grid": "0:1:2", "source": "0",
+                    "source-grid": "0:1:2", "rel-tol": "1e-9",
+                    "format": "json", "output": "-"}),
+        "solve": (["--problem", "dirac", "--data", "exponential:1", "--y", "1",
+                   "--target", "0"],
+                  {"problem": "dirac", "data": "exponential:1", "a": "1",
+                   "y": "1", "y-grid": "1:2:2", "target": "0",
+                   "target-grid": "0:1:2", "rel-tol": "1e-9",
+                   "format": "json", "output": "-"}),
+        "verify": (["--suite", "identities", "--tolerance-override", "1"],
+                   {"suite": "identities", "oscillator-prefactor-scale": "1",
+                    "tolerance-override": "1", "rel-tol": "1e-9",
+                    "format": "json", "output": "-"}),
+        "limit": (["--study", "a-to-zero"],
+                  {"study": "a-to-zero", "problem": "dirac",
+                   "data": "gaussian:0,1", "a": "1", "y": "1", "target": "0.3",
+                   "source": "-0.2", "a-seq": "1e-1,1e-2", "y-seq": "0.2,0.1",
+                   "points": "0", "rel-tol": "1e-9", "format": "json",
+                   "output": "-"}),
+    }
+
+    @pytest.mark.parametrize("command", list(_CONFIG_CASES))
+    def test_every_long_option_is_a_config_key(self, command, tmp_path,
+                                               capsys):
+        base, values = self._CONFIG_CASES[command]
+        parser, commands = cli._build_parser()
+        longs = {opt[2:] for action in commands[command]._actions
+                 for opt in action.option_strings if opt.startswith("--")}
+        assert set(values) == longs - {"help", "config"}
+        cfg = tmp_path / "run.cfg"
+        for key, value in list(values.items()) + [("volume", "11")]:
+            cfg.write_text(f"{key}={value}\n")
+            cli.main([command, "--config", str(cfg)] + base)
+            # a key the command does not take exits 2 before the command runs
+            err = capsys.readouterr().err
+            assert ("unknown key" in err) == (key == "volume"), (key, err)
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 """Closed-form kernels: frozen values, invariances, independent oracles."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -312,3 +313,81 @@ def test_kernel_value_defaults():
     kv = KernelValue(2.5)
     assert kv.error_estimate == 0.0
     assert kv.converged
+
+
+def _mp_dirac(y, s):
+    with mpmath.workdps(40):
+        y, s = mpmath.mpf(y), mpmath.mpf(s)
+        return y / (2 * mpmath.sqrt(mpmath.pi)) * s ** -1.5 * mpmath.exp(-y * y / (4 * s))
+
+
+class TestExtremeArguments:
+    """The closed forms return 0.0 or inf, never NaN, and raise nothing at
+    extreme arguments; values are checked against 40-digit mpmath."""
+
+    @pytest.mark.parametrize("t, x, xp, a", [
+        (1.0, 1e5, -1e5, 1e300),
+        (1.0, 1e200, -1e200, 1.0),
+    ])
+    def test_mehler_is_zero_where_the_spread_overflows(self, t, x, xp, a):
+        # log K <= log of its prefactor - spread / 2, far below log(5e-324)
+        with mpmath.workdps(40):
+            spread = mpmath.mpf(a) / 2 * (mpmath.mpf(x) - mpmath.mpf(xp)) ** 2
+            assert spread / 2 > 10 ** 300
+        assert mehler_heat_kernel(t, x, xp, OscillatorParam(a)) == KernelValue(0.0)
+
+    def test_dirac_with_an_underflowing_denominator(self):
+        # s sqrt(s) underflows to 0 at s = 1e-300
+        kv = dirac_kernel(EvaluationPoint(1e-160, 0.0, 1e-300))
+        ref = float(_mp_dirac(1e-160, 1e-300))
+        assert ref == pytest.approx(2.8209e289, rel=1e-4)
+        assert kv.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("y, target, source", [
+        (1.4e154, -8.5e307, 8.5e307),   # y * y and 4 s overflow: inf / inf
+        (1.4e154, -1.7e308, 1.7e308),   # s itself overflows
+    ])
+    def test_dirac_is_zero_where_4s_overflows(self, y, target, source):
+        # there P <= 0.24 / s is below the normal range
+        kv = dirac_kernel(EvaluationPoint(y, target, source))
+        assert kv == KernelValue(0.0)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(source) - mpmath.mpf(target)
+            assert _mp_dirac(y, s) < sys.float_info.min
+        assert 4.0 * (source - target) == math.inf
+
+    @pytest.mark.parametrize("y, dx", [
+        (1e-200, 0.0),      # y^2 underflows to 0
+        (1e-160, 0.0),      # y^2 is subnormal
+        (1.3e154, 0.0),     # pi (y^2 + dx^2) overflows
+        (1e200, 1e200),     # y^2 + dx^2 overflows
+    ])
+    def test_halfplane_off_the_normal_range(self, y, dx):
+        kv = halfplane_poisson_kernel(EvaluationPoint(y, dx, 0.0))
+        with mpmath.workdps(40):
+            y_, dx_ = mpmath.mpf(y), mpmath.mpf(dx)
+            ref = float(y_ / (mpmath.pi * (y_ * y_ + dx_ * dx_)))
+        assert kv.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_euler_with_a_subnormal_source(self):
+        # (|xi| - |xi'|) / |xi'| overflows, log |xi / xi'| = 712.4 does not
+        y, xi, xip, a = 120.0, 0.5, 1e-310, 1.0
+        kv = euler_kernel(EvaluationPoint(y, xi, xip), OscillatorParam(a))
+        with mpmath.workdps(40):
+            L = mpmath.log(mpmath.mpf(xi) / mpmath.mpf(xip))
+            ref = float(mpmath.sqrt(a / (2 * mpmath.pi)) * (y / mpmath.mpf(xip))
+                        * L ** -1.5 * mpmath.exp(-a * y * y / (2 * L)))
+        assert math.isfinite(ref) and ref > 1e300
+        assert kv.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_oscillator_pairs_whose_spread_overflows_are_zero(self):
+        pa = OscillatorParam(1e300)
+        kv = oscillator_poisson_kernel(EvaluationPoint(1.0, 1e5, -1e5), pa)
+        assert kv == KernelValue(0.0)
+        # in a batch, the other pairs keep their solo results
+        one = OscillatorParam(1.0)
+        row = oscillator_poisson_kernel_batch(1.0, [0.3, 1e200, 0.0],
+                                              [-0.2, -1e200, 0.8], one)
+        assert row[1] == KernelValue(0.0)
+        for kv, (x, xp) in zip(row[::2], [(0.3, -0.2), (0.0, 0.8)]):
+            assert kv == oscillator_poisson_kernel(EvaluationPoint(1.0, x, xp), one)

@@ -1,11 +1,18 @@
-"""Shared numerical helpers: the numpy spline against scipy's, and the
-Gauss-Kronrod 7/15 rule."""
+"""Shared numerical helpers: the numpy spline against scipy's, the
+Gauss-Kronrod 7/15 rule, and the integer argument check."""
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from poissonline.numerics import gauss_kronrod15, leggauss, not_a_knot_spline
+from poissonline.numerics import (
+    gauss_kronrod15,
+    hermite_function,
+    leggauss,
+    nonnegative_int,
+    not_a_knot_spline,
+)
+from poissonline.oracles import SpectralConfig
 from poissonline.solvers import InitialData
 
 SIZES = [4, 5, 6, 7, 10, 33, 201, 1001]
@@ -75,3 +82,25 @@ def test_kronrod_nodes_are_symmetric_and_embed_the_gauss_rule():
     np.testing.assert_allclose(nodes[1::2], g_nodes[::-1], rtol=0, atol=1e-15)
     np.testing.assert_allclose(gauss, g_weights[::-1], rtol=0, atol=1e-15)
     assert not nodes.flags.writeable and not kronrod.flags.writeable
+
+
+@pytest.mark.parametrize("value", [True, -1, 2.0])
+def test_nonnegative_int_rejects(value):
+    with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+        nonnegative_int(value, "k")
+
+
+def test_nonnegative_int_accepts():
+    assert nonnegative_int(0, "k") == 0
+    assert nonnegative_int(7, "k") == 7
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: InitialData.eigenfunction(2.0), "n"),
+    (lambda: hermite_function(-1, 1.0, 0.0), "n"),
+    (lambda: SpectralConfig(True, 1.0), "n_max"),
+    (lambda: SpectralConfig(0, 1.0), "n_max"),
+])
+def test_integer_arguments_are_checked_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        call()

@@ -79,8 +79,6 @@ class TestInitialDataPresets:
             InitialData.sampled([0.0, 1.0, 1.0, 2.0], [1.0] * 4)
         with pytest.raises(ValueError):
             InitialData.sampled([0.0, 1.0, 2.0, 3.0], [1.0, math.nan, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            InitialData.sampled(np.arange(4.0), np.ones(4), interpolation="pchip")
 
 
 class TestCompatibility:

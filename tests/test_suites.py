@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from poissonline.kernels import EvaluationPoint, OscillatorParam, euler_kernel
 import poissonline.suites as suites
+from poissonline.oracles import make_report
 from poissonline.quadrature import QuadratureConfig
 from poissonline.suites import _euler_log_kernel, _oscillator_ck_gap, run_suite
 
@@ -57,3 +58,28 @@ def test_gate_oscillator_semigroup_gaps_stop_at_the_first_rung(case, monkeypatch
     gap = _oscillator_ck_gap(*case, QuadratureConfig(), 1.0)
     assert pairs == [270, 270]
     assert gap <= 1e-12
+
+
+def test_all_runs_every_suite_in_registry_order(monkeypatch):
+    # SUITES maps each suite to its check functions; `all` is their
+    # concatenation, in order, each check called once with (cfg, scale)
+    def check(label):
+        def run(cfg, scale):
+            calls.append(label)
+            return [make_report(label, 0.0, scale)]
+        return run
+
+    calls = []
+    registry = {"first": (check("a"), check("b")), "second": (check("c"),)}
+    monkeypatch.setattr(suites, "SUITES", registry)
+    reports = run_suite("all", prefactor_scale=2.0)
+    assert [r.check_name for r in reports] == calls == ["a", "b", "c"]
+    assert all(r.tolerance == 2.0 for r in reports)
+    assert suites.suite_names() == ("first", "second", "all")
+
+
+def test_registry_holds_the_module_check_functions():
+    checks = [c for s in suites.SUITES.values() for c in s]
+    assert len(set(checks)) == len(checks) == 9
+    for c in checks:
+        assert getattr(suites, c.__name__) is c
