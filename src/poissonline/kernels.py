@@ -166,7 +166,10 @@ def dirac_kernel(p: EvaluationPoint) -> KernelValue:
     operations only, and exp(-y^2 / (4s)) with the rounding error of the
     exponent compensated; a dyadic c then scales every intermediate
     exactly, so the scaling holds to the last bit.  Elsewhere the
-    log-domain form is used.
+    log-domain form is used.  Where y^2 is subnormal it keeps too few bits
+    for either form, so the value is c^2 P(c y, X, X + c^2 s), with the
+    dyadic c that puts c^2 s in [0.5, 2); nothing is scaled where
+    y^2 / (4s) < 2^-60 is too small for its bits to matter.
     """
     s = p.source - p.target
     # off the support, and where 4 s overflows: there P <= 0.24 / s is
@@ -174,13 +177,24 @@ def dirac_kernel(p: EvaluationPoint) -> KernelValue:
     if not 0.0 < 4.0 * s < math.inf:
         return KernelValue(0.0, 0.0)
     y = p.y
+    k = 0
+    if y * y < _MIN_NORMAL and y / math.sqrt(s) >= 2.0 ** -29:
+        k = -(math.frexp(s)[1] // 2)
+        y, s = math.ldexp(y, k), math.ldexp(s, 2 * k)
     q = y * y / (4.0 * s)
     if q < 708.0:
         denominator = _TWO_SQRT_PI * s * math.sqrt(s)
         prefactor = y / denominator if denominator else math.inf
         if _MIN_NORMAL <= prefactor < math.inf:
-            return KernelValue(prefactor * _exp_neg_gap_ratio(y, s, q), 0.0)
-    return KernelValue(_exp(float(_log_stable_half_density(y, s))), 0.0)
+            value = prefactor * _exp_neg_gap_ratio(y, s, q)
+            if k:
+                try:
+                    value = math.ldexp(value, 2 * k)
+                except OverflowError:
+                    value = math.inf
+            return KernelValue(value, 0.0)
+    return KernelValue(_exp(float(_log_stable_half_density(y, s)) + 2 * k * _LOG2),
+                       0.0)
 
 
 def euler_kernel(p: EvaluationPoint, a: OscillatorParam) -> KernelValue:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -165,32 +168,53 @@ def required_heat_order(t: float, a: float, tol: float) -> int:
                            tol, f"t={t}, a={a}")
 
 
-class _MpTerms:
-    """Entries 0, 1, ... of a multiple-precision sequence, built on demand.
+# pi^{-1/2} to 60 digits.  It scales the exact eigen-sum once, so its
+# rounding is a relative 1e-60 on the result at every working precision.
+_INV_SQRT_PI = "0.564189583547756286948079451560772585844050629328998856844086"
 
-    Every entry is computed once, at the sequence's own working precision,
-    so it is the same number whichever call first needed it.  Subclasses
-    define `_next(k)`, entry k from the entries before it.
+
+def _scale(dps: int) -> int:
+    """Fixed-point bits at `dps` working digits: twice the digits' bits."""
+    return 2 * math.ceil(dps * math.log2(10))
+
+
+def _decimal_context(dps: int):
+    """A decimal context with every digit of the fixed point, and ten more."""
+    import decimal
+
+    return decimal.Context(prec=math.ceil(_scale(dps) * math.log10(2)) + 10)
+
+
+def _fixed(value, scale: int) -> int:
+    """floor(value * 2**scale) of an exact rational: a float or a Decimal."""
+    num, den = value.as_integer_ratio()
+    return (num << scale) // den
+
+
+class _FixedTerms:
+    """Entries 0, 1, ... of a fixed-point sequence, built on demand.
+
+    Entry k is a Python int, the value times 2**scale rounded down, with
+    scale = _scale(dps).  Every entry is computed once, at the sequence's
+    own working precision, so it is the same number whichever call first
+    needed it.  Subclasses define `_next(k)`, entry k from the entries
+    before it.
     """
 
-    __slots__ = ("dps", "values")
+    __slots__ = ("scale", "values")
 
     def __init__(self, dps: int, values: list):
-        self.dps = dps
+        self.scale = _scale(dps)
         self.values = values
 
     def upto(self, n: int) -> list:
         """The entries, extended in place to hold at least 0..n."""
-        if len(self.values) <= n:
-            import mpmath as mp
-
-            with mp.workdps(self.dps):
-                for k in range(len(self.values), n + 1):
-                    self.values.append(self._next(k))
+        for k in range(len(self.values), n + 1):
+            self.values.append(self._next(k))
         return self.values
 
 
-class _RecurrenceCoefficients(_MpTerms):
+class _RecurrenceCoefficients(_FixedTerms):
     """(sqrt(2/(k+1)), sqrt(k/(k+1))) of the eigenfunction recurrence, by k."""
 
     __slots__ = ()
@@ -199,23 +223,34 @@ class _RecurrenceCoefficients(_MpTerms):
         super().__init__(dps, [])
 
     def _next(self, k: int):
-        import mpmath as mp
+        two_scale = 2 * self.scale
+        return (math.isqrt((2 << two_scale) // (k + 1)),
+                math.isqrt((k << two_scale) // (k + 1)))
 
-        return mp.sqrt(mp.mpf(2) / (k + 1)), mp.sqrt(mp.mpf(k) / (k + 1))
 
+class _EigenValues(_FixedTerms):
+    """h_k(z), z = sqrt(a) x, k = 0, 1, ..., where psi_k(z) = pi^{-1/4}
+    e^{-z^2/2} h_k(z) are the normalized eigenfunctions.
 
-class _EigenValues(_MpTerms):
-    """psi_k(sqrt(a) x), k = 0, 1, ..., by the normalized recurrence."""
+    h_0 = 1, h_1 = sqrt(2) z and h_{k+1} = sqrt(2/(k+1)) z h_k -
+    sqrt(k/(k+1)) h_{k-1}: the recurrence of `numerics.hermite_all` with
+    the Gaussian factor left out, so that no entry is smaller than the
+    fixed point can hold merely because the point is far out.  The factor
+    is kept as `gauss`, e^{-z^2/2} as a Decimal, and `z` is z as a float.
+    """
 
-    __slots__ = ("z", "coefficients")
+    __slots__ = ("z_fixed", "z", "gauss", "coefficients")
 
     def __init__(self, x: float, a: float, dps: int):
-        import mpmath as mp
+        import decimal
 
-        with mp.workdps(dps):
-            self.z = z = mp.sqrt(mp.mpf(a)) * mp.mpf(x)
-            p0 = mp.pi ** mp.mpf("-0.25") * mp.e ** (-z * z / 2)
-            super().__init__(dps, [p0, mp.sqrt(2) * z * p0])
+        ctx = _decimal_context(dps)
+        da, dx = decimal.Decimal(a), decimal.Decimal(x)
+        z = ctx.multiply(ctx.sqrt(da), dx)
+        self.z = float(z)
+        self.gauss = ctx.exp(ctx.divide(ctx.multiply(ctx.multiply(da, dx), dx), -2))
+        super().__init__(dps, [1 << _scale(dps)])
+        self.z_fixed = _fixed(z, self.scale)
         self.coefficients = _recurrence_coefficients(dps)
 
     def upto(self, n: int) -> list:
@@ -223,25 +258,36 @@ class _EigenValues(_MpTerms):
         return super().upto(n)
 
     def _next(self, k: int):
+        # at k = 1 the second coefficient is 0, so values[-1] drops out
+        values, scale = self.values, self.scale
         cma, cmb = self.coefficients.values[k - 1]
-        return cma * self.z * self.values[k - 1] - cmb * self.values[k - 2]
+        return (((cma * self.z_fixed * values[k - 1]) >> (2 * scale))
+                - ((cmb * values[k - 2]) >> scale))
 
 
-class _HeatWeights(_MpTerms):
-    """e^{-(2k+1)at}, k = 0, 1, ..., each the previous one times e^{-2at}."""
+class _HeatWeights(_FixedTerms):
+    """e^{-2kat}, k = 0, 1, ..., each the previous one times e^{-2at}.
 
-    __slots__ = ("ratio",)
+    The weight of term k is e^{-(2k+1)at}; its common factor e^{-at} is
+    kept, times sqrt(a) pi^{-1/2}, as the Decimal `prefactor`.
+    """
+
+    __slots__ = ("ratio", "prefactor")
 
     def __init__(self, a: float, t: float, dps: int):
-        import mpmath as mp
+        import decimal
 
-        with mp.workdps(dps):
-            am, tm = mp.mpf(a), mp.mpf(t)
-            self.ratio = mp.e ** (-2 * am * tm)
-            super().__init__(dps, [mp.e ** (-am * tm)])
+        ctx = _decimal_context(dps)
+        da = decimal.Decimal(a)
+        at = ctx.multiply(da, decimal.Decimal(t))
+        super().__init__(dps, [1 << _scale(dps)])
+        self.ratio = _fixed(ctx.exp(ctx.multiply(-2, at)), self.scale)
+        self.prefactor = ctx.multiply(
+            ctx.multiply(ctx.sqrt(da), ctx.create_decimal(_INV_SQRT_PI)),
+            ctx.exp(ctx.minus(at)))
 
     def _next(self, k: int):
-        return self.values[k - 1] * self.ratio
+        return (self.values[k - 1] * self.ratio) >> self.scale
 
 
 # Sized to the heat oracle's working set: it sweeps 5 points and 3 times
@@ -252,44 +298,67 @@ _recurrence_coefficients = functools.lru_cache(maxsize=2)(_RecurrenceCoefficient
 _eigen_values = functools.lru_cache(maxsize=5)(_EigenValues)
 _heat_weights = functools.lru_cache(maxsize=3)(_HeatWeights)
 
+_LOG2_10 = math.log2(10)
+
 
 def _heat_sum_mp(t: float, x: float, xp: float, a: float, n_max: int) -> float:
-    """Exact-arithmetic heat sum, safe against sign cancellation.
+    """Multiple-precision heat sum, safe against sign cancellation.
 
     Off the diagonal the terms e^{-(2n+1)at} phi_n(x) phi_n(x') alternate
     in sign and can cancel to far below machine epsilon times their
-    magnitudes (e.g. to ~1e-18 from terms of size ~0.1), so the sum is
-    carried out in mpmath from the exact binary values of the inputs,
-    with the working precision doubled until the measured cancellation
-    leaves at least 20 digits of headroom.  mpmath is imported here, on
-    first use, so that importing the package does not load it.
+    magnitudes (e.g. to ~1e-18 from terms of size ~0.1).  So the sum runs
+    in Python integers: the weights e^{-2kat} and the values h_k at both
+    points (see _EigenValues) are fixed-point numbers with unit
+    u = 2**-scale, their products and the running sum are exact, and the
+    common factor sqrt(a) pi^{-1/2} e^{-at} e^{-(z^2 + z'^2)/2} is applied
+    once, to the exact total, in one correctly rounded division.  The
+    seeds come from `decimal` (exp, sqrt) and `math.isqrt` (the recurrence
+    coefficients); `decimal` is imported on first use, so importing the
+    package does not load it.
+
+    The working precision starts at dps = 50 digits, with scale twice
+    their bits, and doubles until both tests leave 20 digits of headroom:
+
+    - cancellation: the sum of |terms| is below 10^(dps - 20) |total|;
+    - rounding: a bound on the total's error is below 10^-20 |total|.
+      Weight k is off by at most (2k + 1) u.  The forward recurrence is
+      stable, so h_k is off by at most 64 (k + 1)^{5/4} (|z| + 2) u times
+      the amplitude of h around k, for which |h_k| stands in.  The bound
+      is (2n + 1) u sum |h_k h'_k| + 64 (n + 1)^{5/4} (|z| + |z'| + 4) u
+      sum |terms|.
+
+    A sum that the bound puts below half the least subnormal is 0.0.
 
     The eigenfunction values at each point, the weights of each (a, t)
     and the recurrence coefficients are kept per working precision in
     bounded caches and extended as far as a sum needs, so a sweep over
     many point pairs runs each recurrence once.
     """
-    import mpmath as mp
-
     dps = 50
     while True:
-        with mp.workdps(dps):
-            weights = _heat_weights(a, t, dps).upto(n_max)
-            p1 = _eigen_values(x, a, dps).upto(n_max)
-            p2 = _eigen_values(xp, a, dps).upto(n_max)
-            total = weights[0] * p1[0] * p2[0]
-            gross = abs(total)
-            for k in range(1, n_max + 1):
-                term = weights[k] * p1[k] * p2[k]
-                total += term
-                gross += abs(term)
-            root = mp.sqrt(mp.mpf(a))
-            total *= root
-            gross *= root
-            if total != 0 and gross / abs(total) < mp.mpf(10) ** (dps - 20):
-                return float(total)
-            if total == 0:
-                return 0.0
+        weights = _heat_weights(a, t, dps)
+        e1, e2 = _eigen_values(x, a, dps), _eigen_values(xp, a, dps)
+        products = list(map(operator.mul, islice(e1.upto(n_max), n_max + 1),
+                            e2.upto(n_max)))
+        terms = list(map(operator.mul, weights.upto(n_max), products))
+        total = sum(terms)
+        if total == 0:
+            return 0.0
+        gross = sum(map(abs, terms))
+        scale = weights.scale
+        # both parts of the rounding bound in units of the total, 2**-(3 scale)
+        rounding = ((2 * n_max + 1) * sum(map(abs, products))
+                    + math.ceil(64 * (n_max + 1) ** 1.25
+                                * (abs(e1.z) + abs(e2.z) + 4)) * (gross >> scale))
+        ctx = _decimal_context(dps)
+        factor = ctx.multiply(ctx.multiply(weights.prefactor, e1.gauss), e2.gauss)
+        if (gross < abs(total) * 10 ** (dps - 20)
+                and rounding * 10 ** 20 <= abs(total)):
+            num, den = factor.as_integer_ratio()
+            return total * num / (den << (3 * scale))
+        if ((factor.adjusted() + 1) * _LOG2_10 + (gross + rounding).bit_length()
+                - 3 * scale < -1076):
+            return 0.0
         dps *= 2
         if dps > 800:  # pragma: no cover - would need ~780 digits of cancellation
             raise InsufficientOrderError(
@@ -316,13 +385,38 @@ def spectral_heat_kernel(t: float, x: float, xp: float, sc: SpectralConfig,
     return _heat_sum_mp(t, float(x), float(xp), sc.a, sc.n_max)
 
 
+# (a, x) -> phi_0..phi_m at x, most recently used last.  Sized to the
+# Poisson check's working set, its 3 points at one frequency.
+_EIGEN_TABLES: OrderedDict = OrderedDict()
+_EIGEN_TABLES_MAXSIZE = 4
+
+
+def _eigen_table(n_max: int, a: float, x: float) -> np.ndarray:
+    """phi_0..phi_n_max at x, sliced from the cached table of (a, x).
+
+    The table is rebuilt, at n_max, only when it holds fewer entries.
+    Entry k of `hermite_all` depends only on the entries before it, so a
+    slice is bit-identical to a table built at n_max.
+    """
+    key = (a, x)
+    table = _EIGEN_TABLES.get(key)
+    if table is None or table.shape[0] <= n_max:
+        table = _EIGEN_TABLES[key] = hermite_all(n_max, a, x)
+    _EIGEN_TABLES.move_to_end(key)
+    if len(_EIGEN_TABLES) > _EIGEN_TABLES_MAXSIZE:
+        _EIGEN_TABLES.popitem(last=False)
+    return table[:n_max + 1]
+
+
 def spectral_poisson_kernel(y: float, x: float, xp: float, sc: SpectralConfig,
                             tol: float = 1e-9) -> float:
     """Poisson kernel via sum_n e^{-y sqrt((2n+1)a)} phi_n(x) phi_n(x').
 
     The sqrt-exponent tail decays slowly for small y, so the truncation
     bound is checked at call time; InsufficientOrderError reports the
-    order that would be needed.
+    order that would be needed.  The eigenfunction values at each point
+    come from a small cache (see _eigen_table): a caller that runs its sums
+    from the highest order down builds each point's table once.
     """
     y = positive_real(y, "y")
     bound = poisson_tail_bound(y, sc)
@@ -332,8 +426,8 @@ def spectral_poisson_kernel(y: float, x: float, xp: float, sc: SpectralConfig,
             f"poisson tail bound {bound:.3e} exceeds tol={tol:.3e} at "
             f"n_max={sc.n_max}; n_max={needed} would certify it"
         )
-    phi_x = hermite_all(sc.n_max, sc.a, x)
-    phi_xp = phi_x if xp == x else hermite_all(sc.n_max, sc.a, xp)
+    phi_x = _eigen_table(sc.n_max, sc.a, x)
+    phi_xp = phi_x if xp == x else _eigen_table(sc.n_max, sc.a, xp)
     n = np.arange(sc.n_max + 1)
     with np.errstate(under="ignore"):
         weights = np.exp(-y * np.sqrt((2 * n + 1) * sc.a))

@@ -560,8 +560,10 @@ def integrate_semi_infinite_batch(integrand: BatchIntegrand, k: int,
         index in range(k); a component may fill more than one row.  The
         contract on values is that of `integrate_semi_infinite`; a NaN or
         +inf sample of any component raises IntegrandEvaluationError.  It
-        is called under np.errstate(under="ignore", divide="ignore"), so
-        it may underflow and take log 0 without setting its own state.
+        is called under np.errstate(under="ignore", divide="ignore",
+        over="ignore"), so it may underflow, take log 0 and overflow
+        without setting its own state or warning; an overflow that
+        reaches a sample as +inf still raises.
     k : int
         Number of components.
     cfg : QuadratureConfig, optional
@@ -586,8 +588,10 @@ def integrate_semi_infinite_batch(integrand: BatchIntegrand, k: int,
     counts = [0] * k
     results = [None] * k
     # one error state for the whole quadrature: samples underflow in
-    # exp(log F - peak), and integrands take log 0 = -inf where f vanishes
-    with np.errstate(under="ignore", divide="ignore"):
+    # exp(log F - peak), integrands take log 0 = -inf where f vanishes, and
+    # their terms may overflow: the Mehler 2at at a = 1e300 gives a log
+    # magnitude of -inf, a zero sample, and a +inf sample still raises
+    with np.errstate(under="ignore", divide="ignore", over="ignore"):
         best = _find_centres(integrand, k, counts)
         comp = []
         for row, b in enumerate(best):

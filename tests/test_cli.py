@@ -144,6 +144,17 @@ class TestKernelCommand:
         assert (rec["value"], rec["error_estimate"], rec["converged"]) == (
             "0", "0", "true")
 
+    def test_huge_a_warns_nothing(self, package_env):
+        # at a = 1e300 the Mehler 2at overflows inside the quadrature; the
+        # kernel is 0.0, and numpy's overflow warning must not reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "poissonline", "kernel", "--kernel",
+             "oscillator", "--a=1e300", "--y=1", "--target=0", "--source=0"],
+            capture_output=True, text=True, timeout=120, env=package_env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        (rec,) = read_csv(proc.stdout)
+        assert rec["value"] == "0"
+
     def test_single_point_grid(self, capsys):
         code, out = run_cli(["kernel", "--kernel", "halfplane", "--y", "1",
                              "--target", "0", "--source-grid", "0.25:0.25:1"],

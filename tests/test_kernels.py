@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -342,6 +343,22 @@ class TestExtremeArguments:
         ref = float(_mp_dirac(1e-160, 1e-300))
         assert ref == pytest.approx(2.8209e289, rel=1e-4)
         assert kv.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_dirac_with_a_subnormal_square(self):
+        # y^2 = 1e-320 keeps 10 bits; the dyadic rescaling keeps them all
+        y, s = 1e-160, 2.5e-323
+        kv = dirac_kernel(EvaluationPoint(y, 0.0, s))
+        ref = float(_mp_dirac(y, s))
+        assert ref == pytest.approx(2.5714e279, rel=1e-4)
+        assert kv.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_oscillator_at_huge_a_is_zero_without_warnings(self):
+        # 2at overflows to inf inside the quadrature: a zero sample, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kv = oscillator_poisson_kernel(EvaluationPoint(1.0, 0.0, 0.0),
+                                           OscillatorParam(1e300))
+        assert kv.value == 0.0
 
     @pytest.mark.parametrize("y, target, source", [
         (1.4e154, -8.5e307, 8.5e307),   # y * y and 4 s overflow: inf / inf

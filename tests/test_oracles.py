@@ -41,7 +41,7 @@ from poissonline.oracles import (
 )
 from poissonline.quadrature import NonConvergenceError, QuadratureConfig
 from poissonline.solvers import InitialData
-from poissonline.suites import check_heat_oracle
+from poissonline.suites import check_heat_oracle, check_poisson_oracle
 
 PI_QUARTER = math.pi ** -0.25
 
@@ -204,6 +204,20 @@ class TestHeatSumCaches:
         assert oracles._heat_weights.cache_info().misses == 9
 
 
+@settings(max_examples=30, deadline=None)
+@given(t=st.floats(0.05, 2.0), a=st.floats(0.3, 3.0), x=st.floats(-3.0, 3.0),
+       xp=st.floats(-3.0, 3.0), mirror=st.booleans())
+def test_heat_sum_within_one_ulp_of_a_200_digit_sum(t, a, x, xp, mirror):
+    # x' = -x gives the off-diagonal pairs whose terms cancel by up to ~80
+    # digits, where the fixed point has to double its precision
+    if mirror:
+        xp = -x
+    n = required_heat_order(t, a, 1e-12)
+    ours = spectral_heat_kernel(t, x, xp, SpectralConfig(n, a), tol=1e-12)
+    ref = float(_direct_heat_sum(t, x, xp, a, n, 200))
+    assert abs(ours - ref) <= math.ulp(ref)
+
+
 class TestSpectralPoisson:
     def test_matches_quadrature_kernel(self):
         y, x, xp, a = 1.0, 0.7, -0.3, 1.0
@@ -221,6 +235,31 @@ class TestSpectralPoisson:
     def test_rejects_nonpositive_height(self):
         with pytest.raises(ValueError):
             spectral_poisson_kernel(-1.0, 0.0, 0.0, SpectralConfig(50, 1.0))
+
+    def test_gate_check_builds_one_eigen_table_per_point(self, monkeypatch):
+        # cost guard: 3 frequencies x 3 points; each of the 54 sums used to
+        # build a table for each of its points, 81 in all
+        built = []
+        real = oracles.hermite_all
+
+        def counting(n_max, a, x):
+            built.append((a, x))
+            return real(n_max, a, x)
+
+        monkeypatch.setattr(oracles, "hermite_all", counting)
+        oracles._EIGEN_TABLES.clear()
+        reports = check_poisson_oracle(QuadratureConfig(), 1.0)
+        assert len(reports) == 10 and all(r.passed for r in reports)
+        assert sorted(built) == sorted(set(built)) and len(built) == 9
+
+    def test_sliced_tables_are_bit_identical(self):
+        # a sum sliced from a larger cached table equals one built fresh
+        sc = SpectralConfig(required_poisson_order(1.0, 1.0, 1e-9), 1.0)
+        oracles._EIGEN_TABLES.clear()
+        fresh = spectral_poisson_kernel(1.0, 0.3, -0.4, sc)
+        spectral_poisson_kernel(0.2, 0.3, -0.4,
+                                SpectralConfig(required_poisson_order(0.2, 1.0, 1e-9), 1.0))
+        assert spectral_poisson_kernel(1.0, 0.3, -0.4, sc) == fresh
 
 
 class TestRequiredOrders:
@@ -372,11 +411,14 @@ class TestReports:
 
 
 def test_import_does_not_load_mpmath(package_env):
-    # mpmath is needed only by the spectral heat oracle and is loaded there
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, poissonline, poissonline.cli; "
-         "print('mpmath' in sys.modules)"],
-        capture_output=True, text=True, timeout=120, env=package_env)
+    # no runtime module needs mpmath, and the gate's sort-and-dedupe keeps
+    # numpy.ma (which np.unique imports) out of a verify run
+    code = ("import contextlib, io, sys, poissonline, poissonline.cli\n"
+            "print('mpmath' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = poissonline.cli.main(['verify', '--suite', 'all'])\n"
+            "print(code, 'mpmath' in sys.modules, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=package_env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "0", "False", "False"]

@@ -1,6 +1,7 @@
 """Double-exponential quadrature on (0, inf): closed forms and contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ def test_non_finite_sample_is_reported_with_abscissa():
 
     with pytest.raises(IntegrandEvaluationError, match="u="):
         integrate_semi_infinite(bad)
+
+
+def test_overflowing_sample_is_reported_without_a_warning():
+    # the quadrature ignores numpy overflow, but an overflow that reaches a
+    # sample as +inf still raises
+    def bad(u):
+        return np.ones_like(u), np.where(u > 3.0, u * 1e308 * 10.0, -u)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrandEvaluationError, match="u="):
+            integrate_semi_infinite(bad)
 
 
 def test_config_validation():
