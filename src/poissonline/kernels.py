@@ -100,11 +100,10 @@ class KernelValue:
 
 
 def _exp(logv: float) -> float:
-    if logv >= 709.0:
+    try:
+        return math.exp(logv)
+    except OverflowError:
         return math.inf
-    if logv <= -745.0:
-        return 0.0
-    return math.exp(logv)
 
 
 def _split(a: float) -> tuple[float, float]:

@@ -108,6 +108,9 @@ class IntegrandEvaluationError(RuntimeError):
             f"non-finite integrand sample at u={self.abscissa!r}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.abscissa,)
+
 
 class NonConvergenceError(RuntimeError):
     """Raised by callers that cannot proceed with an unconverged integral."""

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import poissonline.cli as cli
+import poissonline.suites as suites
 from poissonline.kernels import EvaluationPoint, OscillatorParam, oscillator_poisson_kernel
-from poissonline.oracles import hermite_function
+from poissonline.oracles import hermite_function, make_report
 from poissonline.quadrature import IntegrandEvaluationError
 from poissonline.solvers import SolutionGrid
 
@@ -245,7 +247,31 @@ class TestSolveCommand:
         assert rec["converged"] == "false"
 
 
+def _passing_check(cfg, scale):
+    return [make_report("passing", 0.0, 1.0)]
+
+
+def _failing_check(cfg, scale):
+    raise IntegrandEvaluationError(0.25)
+
+
 class TestVerifyCommand:
+    def test_check_error_in_a_worker_exits_3(self, capsys, monkeypatch):
+        # two usable CPUs put the checks in forked workers: the error
+        # crosses back by pickle, and no worker outlives the call
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setitem(suites.SUITES, "identities",
+                            (_passing_check, _failing_check))
+        code = cli.main(["verify", "--suite", "identities"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: non-finite integrand sample at u=0.25")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_identities_suite_passes(self, capsys):
         code, out = run_cli(["verify", "--suite", "identities"], capsys)
         assert code == 0

@@ -352,6 +352,20 @@ class TestExtremeArguments:
         assert ref == pytest.approx(2.5714e279, rel=1e-4)
         assert kv.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
+    def test_dirac_just_below_the_overflow_threshold(self):
+        # s^{3/2} underflows, so the log form runs; log P = 709.1 is past
+        # 709 but below log(DBL_MAX) = 709.78, so P is finite
+        kv = dirac_kernel(EvaluationPoint(1e-176, 0.0, 1e-323))
+        ref = float(_mp_dirac(1e-176, 1e-323))
+        assert ref == pytest.approx(9.0818e307, rel=1e-4)
+        assert kv.value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_dirac_just_past_the_overflow_threshold_is_inf(self):
+        # log P = 709.793, just past log(DBL_MAX)
+        kv = dirac_kernel(EvaluationPoint(2e-176, 0.0, 1e-323))
+        assert _mp_dirac(2e-176, 1e-323) > sys.float_info.max
+        assert kv.value == math.inf
+
     def test_oscillator_at_huge_a_is_zero_without_warnings(self):
         # 2at overflows to inf inside the quadrature: a zero sample, no warning
         with warnings.catch_warnings():

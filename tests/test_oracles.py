@@ -412,8 +412,11 @@ class TestReports:
 
 def test_import_does_not_load_mpmath(package_env):
     # no runtime module needs mpmath, and the gate's sort-and-dedupe keeps
-    # numpy.ma (which np.unique imports) out of a verify run
-    code = ("import contextlib, io, sys, poissonline, poissonline.cli\n"
+    # numpy.ma (which np.unique imports) out of a verify run; pinned to one
+    # CPU, the gate runs its checks in this interpreter, so their imports
+    # show in sys.modules
+    code = ("import contextlib, io, os, sys, poissonline, poissonline.cli\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "print('mpmath' in sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = poissonline.cli.main(['verify', '--suite', 'all'])\n"
