@@ -3,8 +3,10 @@
 The package evaluates the kernels of e^{-y sqrt(-Op)} for three operators
 on the real line - the transport operator d/dX, the scaling operator
 -2 a xi d/dxi, and the harmonic oscillator d^2/dx^2 - a^2 x^2 - applies
-them to boundary data, and verifies every closed form against independent
-oracles (spectral sums, finite-difference residuals, limit studies).
+them to boundary data.  The verification layer that checks every closed
+form against independent oracles (spectral sums, finite-difference
+residuals, limit studies) is `poissonline.oracles` and `poissonline.suites`,
+which importing the package does not load; the CLI does.
 """
 
 from .kernels import (
@@ -19,19 +21,7 @@ from .kernels import (
     oscillator_poisson_kernel,
     oscillator_poisson_kernel_batch,
 )
-from .oracles import (
-    InsufficientOrderError,
-    InvalidStencilError,
-    SpectralConfig,
-    StencilConfig,
-    VerificationReport,
-    boundary_limit_gap,
-    hermite_function,
-    limit_a_to_zero_gap,
-    pde_residual,
-    spectral_heat_kernel,
-    spectral_poisson_kernel,
-)
+from .numerics import hermite_function
 from .quadrature import (
     IntegrandEvaluationError,
     NonConvergenceError,
@@ -39,8 +29,6 @@ from .quadrature import (
     QuadratureResult,
     integrate_semi_infinite,
     integrate_semi_infinite_batch,
-    subordination_base_residual,
-    subordination_derived_residual,
 )
 from .solvers import (
     PROBLEMS,
@@ -53,11 +41,6 @@ from .solvers import (
     solve_euler,
     solve_grid,
     solve_oscillator,
-)
-from .suites import (
-    REFERENCE_OSCILLATOR_POISSON_ORIGIN,
-    run_suite,
-    suite_names,
 )
 
 __version__ = "0.1.0"
@@ -74,25 +57,13 @@ __all__ = [
     "mehler_heat_kernel",
     "oscillator_poisson_kernel",
     "oscillator_poisson_kernel_batch",
-    "InsufficientOrderError",
-    "InvalidStencilError",
-    "SpectralConfig",
-    "StencilConfig",
-    "VerificationReport",
-    "boundary_limit_gap",
     "hermite_function",
-    "limit_a_to_zero_gap",
-    "pde_residual",
-    "spectral_heat_kernel",
-    "spectral_poisson_kernel",
     "IntegrandEvaluationError",
     "NonConvergenceError",
     "QuadratureConfig",
     "QuadratureResult",
     "integrate_semi_infinite",
     "integrate_semi_infinite_batch",
-    "subordination_base_residual",
-    "subordination_derived_residual",
     "PROBLEMS",
     "InitialData",
     "InvalidDataError",
@@ -103,7 +74,4 @@ __all__ = [
     "solve_euler",
     "solve_grid",
     "solve_oscillator",
-    "REFERENCE_OSCILLATOR_POISSON_ORIGIN",
-    "run_suite",
-    "suite_names",
 ]

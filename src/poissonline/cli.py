@@ -434,9 +434,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     v.add_argument("--suite", choices=suite_names(), default=None)
     v.add_argument("--oscillator-prefactor-scale", type=float, default=1.0,
                    metavar="S",
-                   help="fault injection: scale the oscillator kernel "
-                        "prefactor (1.0 = correct; sqrt(2) reproduces the "
-                        "classic miscalibration)")
+                   help="fault injection: scale every oscillator kernel "
+                        "value the checks read (1.0 = correct; sqrt(2) "
+                        "reproduces the classic miscalibration)")
     v.add_argument("--tolerance-override", type=float, default=None,
                    metavar="TOL",
                    help="fault injection: replace every check tolerance")

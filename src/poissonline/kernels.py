@@ -291,8 +291,7 @@ _BATCH_PAIRS = 64
 
 
 def oscillator_poisson_kernel(p: EvaluationPoint, a: OscillatorParam,
-                              cfg: QuadratureConfig | None = None,
-                              prefactor_scale: float = 1.0) -> KernelValue:
+                              cfg: QuadratureConfig | None = None) -> KernelValue:
     """Extension kernel of the oscillator, by subordination of its heat flow.
 
         P(y, x, x') = (y / (2 sqrt(pi))) *
@@ -302,20 +301,14 @@ def oscillator_poisson_kernel(p: EvaluationPoint, a: OscillatorParam,
     semi-infinite quadrature; its error estimate and convergence flag are
     forwarded (scaled) in the returned KernelValue.  This is the batch of
     one of `oscillator_poisson_kernel_batch`.
-
-    `prefactor_scale` multiplies the subordination prefactor.  1.0 is the
-    mathematically consistent normalization; any other value deliberately
-    breaks it and exists only as a fault-injection knob for the
-    verification suites (sqrt(2) is the conventional negative control).
     """
     return oscillator_poisson_kernel_batch(p.y, (p.target,), (p.source,), a,
-                                           cfg, prefactor_scale)[0]
+                                           cfg)[0]
 
 
 def oscillator_poisson_kernel_batch(y: float, targets, sources,
                                     a: OscillatorParam,
-                                    cfg: QuadratureConfig | None = None,
-                                    prefactor_scale: float = 1.0
+                                    cfg: QuadratureConfig | None = None
                                     ) -> list[KernelValue]:
     """`oscillator_poisson_kernel` at (targets[i], sources[i]) pairs sharing (y, a).
 
@@ -334,11 +327,10 @@ def oscillator_poisson_kernel_batch(y: float, targets, sources,
     xps = [finite_real(v, "source") for v in sources]
     if len(xs) != len(xps):
         raise ValueError(f"got {len(xs)} targets but {len(xps)} sources")
-    scale = positive_real(prefactor_scale, "prefactor_scale")
     aa = a.a
     q = 0.25 * y * y
     log_norm = 0.5 * (np.log(aa) - _LOG_2PI)
-    c = scale * y / (2.0 * _SQRT_PI)
+    c = y / (2.0 * _SQRT_PI)
     spreads = [_spread(aa, x, xp) for x, xp in zip(xs, xps)]
     values = [KernelValue(0.0, 0.0) if v == math.inf else None for v in spreads]
     live = [i for i, v in enumerate(values) if v is None]

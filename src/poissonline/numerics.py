@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -73,30 +74,48 @@ _GK15_GAUSS = (
 )
 
 
+def _real(value) -> float:
+    """`value` as a float if it is a real number and not a bool, else NaN.
+
+    Any `numbers.Real` counts, numpy scalars included (`np.bool_` is not
+    one).  A real too large for a float, such as 10**400, is NaN too.
+    """
+    if type(value) is float:        # the common case, without the ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
 def finite_real(value, name: str) -> float:
-    """`value` as a float, if it is a finite int or float (not a bool).
+    """`value` as a float, if it is a finite real number (not a bool).
 
     Raises ValueError naming the argument otherwise.
     """
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not -math.inf < value < math.inf):
+    v = _real(value)
+    if not -math.inf < v < math.inf:
         raise ValueError(f"{name} must be a finite real, got {value!r}")
-    return float(value)
+    return v
 
 
 def positive_real(value, name: str) -> float:
-    """`value` as a float, if it is a positive finite int or float."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0.0 < value < math.inf):
+    """`value` as a float, if it is a positive finite real number."""
+    v = _real(value)
+    if not 0.0 < v < math.inf:
         raise ValueError(f"{name} must be a positive finite real, got {value!r}")
-    return float(value)
+    return v
 
 
 def nonnegative_int(value, name: str) -> int:
-    """`value`, if it is an int >= 0 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    return value
+    """`value` as an int, if it is an integer >= 0: an int or a numpy
+    integer, not a bool."""
+    if (type(value) is int or (isinstance(value, Integral)
+                               and not isinstance(value, bool))) and value >= 0:
+        return int(value)
+    raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 @lru_cache(maxsize=None)

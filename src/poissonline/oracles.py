@@ -99,20 +99,17 @@ class VerificationReport:
     check_name: str
     measured: float
     tolerance: float
-    passed: bool
     context: Mapping = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed != (self.measured <= self.tolerance):
-            raise ValueError("passed must equal (measured <= tolerance)")
+    @property
+    def passed(self) -> bool:
+        return self.measured <= self.tolerance
 
 
 def make_report(check_name: str, measured: float, tolerance: float,
                 **context) -> VerificationReport:
-    measured = float(measured)
-    tolerance = float(tolerance)
-    return VerificationReport(check_name, measured, tolerance,
-                              measured <= tolerance, dict(context))
+    return VerificationReport(check_name, float(measured), float(tolerance),
+                              dict(context))
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +570,11 @@ def limit_a_to_zero_gap(y: float, x: float, xp: float,
     of frequencies.  Passes when the gaps decrease strictly and the final
     gap is at most 10 * a_final; `measured` is the final gap (inf when the
     sequence fails to decrease), `tolerance` the 10 * a_final bound, and
-    the full gap list rides along in the context.
+    the full gap list rides along in the context.  `prefactor_scale`
+    multiplies every kernel value P_a: any value but 1.0 is a fault the
+    study must catch (sqrt(2) is the gate's negative control).
     """
+    prefactor_scale = positive_real(prefactor_scale, "prefactor_scale")
     a_sequence = [positive_real(a, "a_sequence entry") for a in a_sequence]
     if not a_sequence:
         raise ValueError("a_sequence must not be empty")
@@ -584,9 +584,8 @@ def limit_a_to_zero_gap(y: float, x: float, xp: float,
     reference = halfplane_poisson_kernel(point).value
     gaps = []
     for a in a_sequence:
-        kv = oscillator_poisson_kernel(point, OscillatorParam(a), cfg,
-                                       prefactor_scale=prefactor_scale)
-        gaps.append(abs(kv.value - reference) / reference)
+        kv = oscillator_poisson_kernel(point, OscillatorParam(a), cfg)
+        gaps.append(abs(prefactor_scale * kv.value - reference) / reference)
     decreasing = all(g1 < g0 for g0, g1 in zip(gaps[:-1], gaps[1:]))
     measured = gaps[-1] if decreasing else math.inf
     return make_report("limit-a-to-zero", measured, 10.0 * a_sequence[-1],

@@ -14,7 +14,7 @@ The method rewrites the integral on the logarithmic axis u = u* exp(w),
 where u* maximizes the transformed magnitude |f(u)| * u.  Both endpoint
 behaviours then decay double-exponentially in w, and the trapezoid rule
 with step halving converges at a spectral rate while reusing every sample.
-Tails of the trapezoid sum are cut once the samples stay `decay_cutoff`
+Tails of the trapezoid sum are cut once the samples stay _DECAY_CUTOFF
 natural-log units below the running maximum.
 
 `integrate_semi_infinite_batch` integrates k such integrands in lockstep,
@@ -94,6 +94,8 @@ _TAIL_RUN = 3             # consecutive sub-cutoff samples that end a tail
 _TAIL_BLOCK = 16          # samples drawn per tail and integrand call
 _MAX_POINTS = 2_000_000   # safety valve against runaway refinement
 _LOG_U_CAP = 700.0        # |log u| cap so exp(log u) stays finite and nonzero
+_MAX_REFINEMENT_DEPTH = 20  # step halvings attempted beyond the base grid
+_DECAY_CUTOFF = 45.0      # tail cut, in log units below the running maximum
 
 _BRACKET_FRACTIONS = np.arange(1, _BRACKET_POINTS + 1) / (_BRACKET_POINTS + 1)
 _BLOCK_K = np.arange(float(_TAIL_BLOCK))
@@ -118,38 +120,20 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits for `integrate_semi_infinite`.
+    """Tolerances for `integrate_semi_infinite`.
 
-    rel_tol, abs_tol
-        Convergence is declared once the change between successive
-        refinement levels is at most max(abs_tol, rel_tol * |value|).
-    max_refinement_depth
-        Number of step halvings attempted beyond the base grid.
-    decay_cutoff
-        Tail truncation threshold in natural-log units below the running
-        maximum of the transformed integrand.
+    Convergence is declared once the change between successive refinement
+    levels is at most max(abs_tol, rel_tol * |value|).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-300
-    max_refinement_depth: int = 20
-    decay_cutoff: float = 45.0
 
     def __post_init__(self):
         if not (isinstance(self.rel_tol, float) and 0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
         if not (isinstance(self.abs_tol, float) and 0.0 < self.abs_tol < 1.0):
             raise ValueError(f"abs_tol must lie in (0, 1), got {self.abs_tol!r}")
-        if not (isinstance(self.max_refinement_depth, int)
-                and 0 < self.max_refinement_depth <= 60):
-            raise ValueError(
-                "max_refinement_depth must be a positive integer <= 60, "
-                f"got {self.max_refinement_depth!r}"
-            )
-        if not (isinstance(self.decay_cutoff, float) and self.decay_cutoff > 0.0):
-            raise ValueError(
-                f"decay_cutoff must be a positive float, got {self.decay_cutoff!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -345,7 +329,7 @@ class _Trapezoid:
                 peak[i] = top
         return sign, logf
 
-    def grow(self, h: float, tails: list, cutoff: float) -> None:
+    def grow(self, h: float, tails: list) -> None:
         """Extend the listed tails outward at spacing h.
 
         `tails` holds (row, direction) pairs: direction +1 extends the row
@@ -353,7 +337,7 @@ class _Trapezoid:
         samples of every open tail in one integrand call, one tail to a
         line of u.  A tail ends at the first index at |w| >= _MIN_TAIL_SPAN
         that closes a run of _TAIL_RUN samples below its row's
-        peak - cutoff, or where |log u| would pass _LOG_U_CAP.
+        peak - _DECAY_CUTOFF, or where |log u| would pass _LOG_U_CAP.
         """
         k_span = math.ceil(_MIN_TAIL_SPAN / h)    # exact: h is a power of two
         lines = self.lines([i for i, _ in tails])
@@ -381,8 +365,8 @@ class _Trapezoid:
             for j, (t, i, samples, width) in enumerate(zip(
                     live, lines.rows, logf.tolist(), widths)):
                 # the tail ends at the first sample at index >= k_span that
-                # closes a run of _TAIL_RUN samples below peak - cutoff
-                threshold = self.peak[i] - cutoff
+                # closes a run of _TAIL_RUN samples below peak - _DECAY_CUTOFF
+                threshold = self.peak[i] - _DECAY_CUTOFF
                 first = k_span - nxt[t]
                 count, take, closed = run[t], width, False
                 for q in range(width):
@@ -463,8 +447,8 @@ class _Trapezoid:
         logf[:, 0::2], logf[:, 1::2] = self.logf, g_odd
         self.sign, self.logf = sign, logf
 
-    def hot_tails(self, cutoff: float) -> list:
-        """(row, direction) of every tail still at or above peak - cutoff.
+    def hot_tails(self) -> list:
+        """(row, direction) of every tail still at or above peak - _DECAY_CUTOFF.
 
         The finer grid can reveal that a tail was cut while still warm.
         Each tail's last _TAIL_RUN samples stop at w = 0.
@@ -473,9 +457,10 @@ class _Trapezoid:
         for i, (lo, hi, peak) in enumerate(zip(self.lo, self.hi, self.peak)):
             row = self.logf[i]
             end, first = hi - self.k0 + 1, lo - self.k0
-            if max(row[end - min(_TAIL_RUN, hi + 1):end].tolist()) >= peak - cutoff:
+            warm = peak - _DECAY_CUTOFF
+            if max(row[end - min(_TAIL_RUN, hi + 1):end].tolist()) >= warm:
                 hot.append((i, +1))
-            if max(row[first:first + min(_TAIL_RUN, 1 - lo)].tolist()) >= peak - cutoff:
+            if max(row[first:first + min(_TAIL_RUN, 1 - lo)].tolist()) >= warm:
                 hot.append((i, -1))
         return hot
 
@@ -516,20 +501,19 @@ def _refine(trap: _Trapezoid, cfg: QuadratureConfig, results: list) -> None:
     A row is frozen at the first level where the change from the previous
     level is within max(abs_tol, rel_tol * |value|) and drops out of the
     integrand calls; so is a row whose grid outgrows _MAX_POINTS, as
-    unconverged.  Rows left after max_refinement_depth halvings are
+    unconverged.  Rows left after _MAX_REFINEMENT_DEPTH halvings are
     reported unconverged.
     """
-    cutoff = cfg.decay_cutoff
     h = _BASE_STEP
-    trap.grow(h, [(i, d) for i in range(len(trap.comp)) for d in (+1, -1)], cutoff)
+    trap.grow(h, [(i, d) for i in range(len(trap.comp)) for d in (+1, -1)])
     values = trap.level_sums(h)
     errors = [math.inf] * len(values)
-    for _depth in range(cfg.max_refinement_depth):
+    for _depth in range(_MAX_REFINEMENT_DEPTH):
         h *= 0.5
         trap.halve(h)
-        hot = trap.hot_tails(cutoff)
+        hot = trap.hot_tails()
         if hot:
-            trap.grow(h, hot, cutoff)
+            trap.grow(h, hot)
         rest = []
         for i, (row, old, value, lo, hi) in enumerate(zip(
                 trap.comp, values, trap.level_sums(h), trap.lo, trap.hi)):

@@ -8,9 +8,12 @@ subordination identities, both spectral oracle equivalences, the flat
 eigen-solutions, finite-difference residual orders, conservation and
 semigroup invariants, and boundary recovery.
 
-`prefactor_scale` feeds straight into the oscillator kernel's
-normalization.  Any value other than 1.0 corrupts the kernel on purpose;
-the suites are expected to catch it (that is what the knob is for).
+`prefactor_scale` multiplies every oscillator kernel value and error
+estimate that the checks read (`_scaled`, and `limit_a_to_zero_gap` for
+the flat limit); the kernel field of the residual-order check stays
+unscaled.  Any value other than 1.0 corrupts the kernel on purpose; the
+suites are expected to catch it (that is what the knob is for).  The
+library kernels take no such knob: the fault lives here, in the gate.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from .kernels import (
     EvaluationPoint,
+    KernelValue,
     OscillatorParam,
     dirac_kernel,
     euler_kernel,
@@ -91,6 +95,13 @@ _CK_RUNGS = 4              # panel splittings of the oscillator semigroup oracle
 
 def _fmt(v: float) -> str:
     return format(v, "g")
+
+
+def _scaled(kv: KernelValue, scale: float) -> KernelValue:
+    """An oscillator kernel value with the fault applied: value and error
+    estimate times `scale` (1.0 leaves both as they are, to the bit)."""
+    return KernelValue(scale * kv.value, scale * kv.error_estimate,
+                       kv.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +188,8 @@ def check_poisson_oracle(cfg: QuadratureConfig,
         pa = OscillatorParam(a)
         sums = []
         for y in heights:
-            kvs = oscillator_poisson_kernel_batch(y, targets, sources, pa, cfg,
-                                                  prefactor_scale=scale)
+            kvs = [_scaled(kv, scale) for kv in oscillator_poisson_kernel_batch(
+                y, targets, sources, pa, cfg)]
             for (x, xp), kv in zip(pairs, kvs):
                 tol = 1e-9 * abs(kv.value)
                 sums.append((required_poisson_order(y, a, tol), y, x, xp,
@@ -191,9 +202,8 @@ def check_poisson_oracle(cfg: QuadratureConfig,
             reports.append(make_report(
                 f"poisson-oracle(a={_fmt(a)},y={_fmt(y)})", worst[y], 1e-8,
                 a=a, y=y, points=pts))
-    kv = oscillator_poisson_kernel(EvaluationPoint(1.0, 0.0, 0.0),
-                                   OscillatorParam(1.0), cfg,
-                                   prefactor_scale=scale)
+    kv = _scaled(oscillator_poisson_kernel(EvaluationPoint(1.0, 0.0, 0.0),
+                                           OscillatorParam(1.0), cfg), scale)
     ref = REFERENCE_OSCILLATOR_POISSON_ORIGIN
     reports.append(make_report(
         "poisson-frozen-origin", abs(kv.value - ref) / ref, 1e-8,
@@ -232,12 +242,13 @@ def check_orthonormality(cfg: QuadratureConfig,
 
 def check_eigen_solutions(cfg: QuadratureConfig,
                           scale: float) -> list[VerificationReport]:
-    """Solvers against closed-form eigen-datum solutions, 27 triples."""
+    """Solvers against closed-form eigen-datum solutions, 27 triples; the
+    references are `eigen_solution_field`'s."""
     reports = []
     for rate, (y, X) in product((0.5, 1.0, 2.0),
                                 ((0.5, -1.0), (1.0, 0.0), (2.0, 1.0))):
         got = solve_dirac(InitialData.exponential(rate), y, X, cfg).value
-        ref = math.exp(-y * math.sqrt(rate) - rate * X)
+        ref = eigen_solution_field("dirac", rate=rate)(y, X)
         reports.append(make_report(
             f"eigen-dirac(rate={_fmt(rate)},y={_fmt(y)},X={_fmt(X)})",
             abs(got - ref) / abs(ref), 1e-8, value=got, reference=ref))
@@ -245,7 +256,7 @@ def check_eigen_solutions(cfg: QuadratureConfig,
                                     ((0.5, 0.5, 0.8), (1.0, 1.0, 1.5),
                                      (2.0, 2.0, -0.6))):
         got = solve_euler(InitialData.power(beta), y, xi, a, cfg).value
-        ref = math.exp(-y * math.sqrt(2.0 * a * beta)) * abs(xi) ** beta
+        ref = eigen_solution_field("euler", exponent=beta, a=a)(y, xi)
         reports.append(make_report(
             f"eigen-euler(beta={_fmt(beta)},a={_fmt(a)},y={_fmt(y)},"
             f"xi={_fmt(xi)})",
@@ -256,7 +267,7 @@ def check_eigen_solutions(cfg: QuadratureConfig,
                        (3, 0.5, 1.0, 0.4), (3, 1.0, 0.5, -0.7),
                        (3, 2.0, 1.0, 0.3)):
         got = solve_oscillator(InitialData.eigenfunction(n), y, x, a, cfg).value
-        ref = math.exp(-y * math.sqrt((2 * n + 1) * a)) * hermite_function(n, a, x)
+        ref = eigen_solution_field("oscillator", n=n, a=a)(y, x)
         reports.append(make_report(
             f"eigen-oscillator(n={n},a={_fmt(a)},y={_fmt(y)},x={_fmt(x)})",
             abs(got - ref) / abs(ref), 1e-8, value=got, reference=ref))
@@ -407,10 +418,10 @@ def _oscillator_ck_gap(a: float, y1: float, y2: float, x: float, xp: float,
         half = 0.5 * np.diff(grid)
         zs = (0.5 * (grid[1:] + grid[:-1])[:, None]
               + half[:, None] * nodes).ravel().tolist()
-        k1 = oscillator_poisson_kernel_batch(y1, [x] * len(zs), zs, pa, cfg,
-                                             prefactor_scale=scale)
-        k2 = oscillator_poisson_kernel_batch(y2, zs, [xp] * len(zs), pa, cfg,
-                                             prefactor_scale=scale)
+        k1 = [_scaled(kv, scale) for kv in oscillator_poisson_kernel_batch(
+            y1, [x] * len(zs), zs, pa, cfg)]
+        k2 = [_scaled(kv, scale) for kv in oscillator_poisson_kernel_batch(
+            y2, zs, [xp] * len(zs), pa, cfg)]
         f, f_err = np.array([(kv.value, kv.error_estimate) for kv in k1]).T
         g, g_err = np.array([(kv.value, kv.error_estimate) for kv in k2]).T
         shape = (half.size, nodes.size)
@@ -421,8 +432,8 @@ def _oscillator_ck_gap(a: float, y1: float, y2: float, x: float, xp: float,
                              @ kronrod))
         if abs(value - coarse) <= 1e-9 + kerr:
             break
-    direct = oscillator_poisson_kernel(EvaluationPoint(y1 + y2, x, xp), pa,
-                                       cfg, prefactor_scale=scale).value
+    direct = _scaled(oscillator_poisson_kernel(EvaluationPoint(y1 + y2, x, xp),
+                                               pa, cfg), scale).value
     return abs(value - direct) / direct
 
 
@@ -454,8 +465,8 @@ def check_conservation(cfg: QuadratureConfig,
     for a in (0.5, 1.0, 2.0):
         pa = OscillatorParam(a)
         for y, x, xp in ((1.0, 0.5, -0.3), (0.5, 1.0, 0.2), (2.0, -1.0, 0.7)):
-            k1, k2 = oscillator_poisson_kernel_batch(y, (x, xp), (xp, x), pa,
-                                                     cfg, prefactor_scale=scale)
+            k1, k2 = [_scaled(kv, scale) for kv in oscillator_poisson_kernel_batch(
+                y, (x, xp), (xp, x), pa, cfg)]
             reports.append(make_report(
                 f"oscillator-symmetry(a={_fmt(a)},y={_fmt(y)},x={_fmt(x)},"
                 f"xp={_fmt(xp)})",

@@ -22,6 +22,7 @@ from poissonline.kernels import (
     oscillator_poisson_kernel,
     oscillator_poisson_kernel_batch,
 )
+from poissonline import quadrature
 from poissonline.quadrature import QuadratureConfig, integrate_semi_infinite
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -186,20 +187,6 @@ class TestOscillatorPoisson:
         k2 = oscillator_poisson_kernel(EvaluationPoint(0.8, -0.4, 1.1), a)
         assert abs(k1.value - k2.value) <= k1.error_estimate + k2.error_estimate
 
-    def test_prefactor_scale_is_exactly_linear(self):
-        p = EvaluationPoint(1.0, 0.3, -0.2)
-        a = OscillatorParam(1.0)
-        base = oscillator_poisson_kernel(p, a).value
-        scaled = oscillator_poisson_kernel(p, a, prefactor_scale=math.sqrt(2.0)).value
-        assert scaled == pytest.approx(math.sqrt(2.0) * base, rel=1e-15)
-
-    def test_prefactor_scale_validation(self):
-        p = EvaluationPoint(1.0, 0.0, 0.0)
-        a = OscillatorParam(1.0)
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                oscillator_poisson_kernel(p, a, prefactor_scale=bad)
-
     @pytest.mark.parametrize("y,x,xp,a", [
         (0.5, 0.0, 0.0, 1.0),
         (1.0, 1.0, -1.0, 0.5),
@@ -248,10 +235,11 @@ class TestOscillatorPoissonBatch:
             assert (abs(k1.value - k2.value)
                     <= k1.error_estimate + k2.error_estimate + 1e-13 * abs(k1.value))
 
-    def test_every_pair_keeps_its_own_estimate_and_flag(self):
+    def test_every_pair_keeps_its_own_estimate_and_flag(self, monkeypatch):
         # a tight budget leaves the far pairs unconverged and the near ones
         # converged; 70 pairs span two quadrature batches of at most 64
-        cfg = QuadratureConfig(rel_tol=1e-14, max_refinement_depth=2)
+        monkeypatch.setattr(quadrature, "_MAX_REFINEMENT_DEPTH", 2)
+        cfg = QuadratureConfig(rel_tol=1e-14)
         pa = OscillatorParam(1.0)
         sources = [0.5 * (i % 17) - 4.0 for i in range(70)]
         batch = oscillator_poisson_kernel_batch(0.3, [0.1] * 70, sources, pa, cfg)
@@ -277,14 +265,6 @@ class TestOscillatorPoissonBatch:
         with pytest.raises(ValueError):
             oscillator_poisson_kernel_batch(1.0, targets, sources,
                                             OscillatorParam(1.0))
-
-    def test_scale_applies_to_every_pair(self):
-        pa = OscillatorParam(1.0)
-        base = oscillator_poisson_kernel_batch(1.0, [0.3, 0.0], [-0.2, 0.8], pa)
-        scaled = oscillator_poisson_kernel_batch(1.0, [0.3, 0.0], [-0.2, 0.8], pa,
-                                                 prefactor_scale=math.sqrt(2.0))
-        for b, s in zip(base, scaled):
-            assert s.value == pytest.approx(math.sqrt(2.0) * b.value, rel=1e-15)
 
 
 class TestHalfplane:

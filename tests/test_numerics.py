@@ -1,21 +1,31 @@
 """Shared numerical helpers: the numpy spline against scipy's, the
-Gauss-Kronrod 7/15 rule, and the integer argument check."""
+Gauss-Kronrod 7/15 rule, and the argument checks."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from poissonline.kernels import OscillatorParam, oscillator_poisson_kernel_batch
 from poissonline.numerics import (
+    finite_real,
     gauss_kronrod15,
     hermite_function,
     leggauss,
     nonnegative_int,
     not_a_knot_spline,
+    positive_real,
 )
 from poissonline.oracles import SpectralConfig
 from poissonline.solvers import InitialData
 
 SIZES = [4, 5, 6, 7, 10, 33, 201, 1001]
+
+
+def _short(value) -> str:
+    return repr(value)[:24]
 
 
 def _grid(kind: str, n: int, rng) -> np.ndarray:
@@ -84,7 +94,8 @@ def test_kronrod_nodes_are_symmetric_and_embed_the_gauss_rule():
     assert not nodes.flags.writeable and not kronrod.flags.writeable
 
 
-@pytest.mark.parametrize("value", [True, -1, 2.0])
+@pytest.mark.parametrize("value", [True, -1, 2.0, np.bool_(True),
+                                   np.int64(-2), np.float32(2.0), "2"])
 def test_nonnegative_int_rejects(value):
     with pytest.raises(ValueError, match="k must be a nonnegative integer"):
         nonnegative_int(value, "k")
@@ -93,6 +104,47 @@ def test_nonnegative_int_rejects(value):
 def test_nonnegative_int_accepts():
     assert nonnegative_int(0, "k") == 0
     assert nonnegative_int(7, "k") == 7
+
+
+@pytest.mark.parametrize("value", [np.int64(2), np.uint8(3), 10 ** 400], ids=_short)
+def test_nonnegative_int_accepts_every_integer_as_an_int(value):
+    got = nonnegative_int(value, "k")
+    assert type(got) is int and got == value
+
+
+@pytest.mark.parametrize("value", [-2.5, 0, 3, np.int64(1), np.float32(0.5),
+                                   np.float64(-1e300), Fraction(1, 3)], ids=_short)
+def test_finite_real_accepts_every_real_number(value):
+    got = finite_real(value, "x")
+    assert type(got) is float and got == float(value)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), math.nan, -math.inf,
+                                   np.float32("inf"), 10 ** 400, -10 ** 400,
+                                   "1.0", 1j, None], ids=_short)
+def test_finite_real_rejects_by_name(value):
+    with pytest.raises(ValueError, match="^x must be a finite real, got"):
+        finite_real(value, "x")
+
+
+@pytest.mark.parametrize("value", [0.5, 2, np.int64(1), np.float32(0.5)], ids=_short)
+def test_positive_real_accepts_every_positive_real_number(value):
+    got = positive_real(value, "a")
+    assert type(got) is float and got == float(value)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -1, np.int64(0), np.float32(-0.5),
+                                   True, math.inf, 10 ** 400, math.nan], ids=_short)
+def test_positive_real_rejects_by_name(value):
+    with pytest.raises(ValueError, match="^a must be a positive finite real, got"):
+        positive_real(value, "a")
+
+
+def test_kernel_batch_takes_numpy_coordinates():
+    pa = OscillatorParam(1.0)
+    got = oscillator_poisson_kernel_batch(1.0, np.arange(3), np.zeros(3), pa)
+    assert got == oscillator_poisson_kernel_batch(1.0, [0.0, 1.0, 2.0],
+                                                  [0.0] * 3, pa)
 
 
 @pytest.mark.parametrize("call, name", [

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import kv
 
+from poissonline import quadrature
 from poissonline.quadrature import (
     IntegrandEvaluationError,
     QuadratureConfig,
@@ -242,14 +243,15 @@ def test_tail_found_warm_after_halving_is_extended():
     assert res.value == pytest.approx(exact, rel=1e-9)
 
 
-def test_tail_at_the_log_u_cap_is_not_extended_past_it():
-    # u f(u) ~ u^{-1e-4} never falls decay_cutoff below its peak, so the
+def test_tail_at_the_log_u_cap_is_not_extended_past_it(monkeypatch):
+    # u f(u) ~ u^{-1e-4} never falls _DECAY_CUTOFF below its peak, so the
     # upper tail runs into the |log u| cap and is still warm after every
     # halving; the result is reported, unconverged, instead of raising
     def slow(u):
         return np.ones_like(u), -1.0001 * np.log1p(u)
 
-    res = integrate_semi_infinite(slow, QuadratureConfig(max_refinement_depth=3))
+    monkeypatch.setattr(quadrature, "_MAX_REFINEMENT_DEPTH", 3)
+    res = integrate_semi_infinite(slow)
     assert math.isfinite(res.value)
     assert not res.converged
 
@@ -303,11 +305,12 @@ def test_each_component_is_its_own_scalar_integral():
     assert batch[-1] == batch[-1].__class__(0.0, 0.0, batch[-1].evaluations, True)
 
 
-def test_components_converge_and_stop_on_their_own():
+def test_components_converge_and_stop_on_their_own(monkeypatch):
     # the tolerance is met at different depths: the slow component keeps
     # refining while the fast one is frozen, and only the slow one may
     # miss a small refinement budget
-    cfg = QuadratureConfig(rel_tol=1e-12, max_refinement_depth=2)
+    monkeypatch.setattr(quadrature, "_MAX_REFINEMENT_DEPTH", 2)
+    cfg = QuadratureConfig(rel_tol=1e-12)
     integrands = [exp_decay, _ONE_ROW["bump"]]
     batch = integrate_semi_infinite_batch(_rows_of(integrands), 2, cfg)
     alone = [integrate_semi_infinite(f, cfg) for f in integrands]
